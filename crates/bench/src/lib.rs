@@ -21,6 +21,7 @@
 
 use std::env;
 
+use recluster_sim::knobs::{env_u64, Knobs};
 use recluster_sim::{Parallelism, RoutingMode};
 
 /// Seed used by all experiment binaries unless overridden by the
@@ -32,16 +33,14 @@ pub const DEFAULT_SEED: u64 = 2008;
 /// (or `0`) uses every available core. Parallel and sequential sweeps
 /// produce byte-identical reports (asserted in
 /// `recluster-sim/tests/determinism.rs`), so this only trades wall
-/// clock, never results.
+/// clock, never results. A malformed value is reported on stderr and
+/// treated as unset.
 pub fn parallelism_from_env() -> Parallelism {
-    match env::var("RECLUSTER_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(1) => Parallelism::Sequential,
-        Some(0) | None => Parallelism::Auto,
-        Some(n) => Parallelism::Threads(n),
+    Knobs {
+        threads: env_u64("RECLUSTER_THREADS"),
+        ..Knobs::default()
     }
+    .parallelism()
 }
 
 /// Reads the query-routing mode (`RECLUSTER_ROUTING`): `flood`
@@ -63,12 +62,10 @@ pub fn routing_from_env() -> RoutingMode {
 }
 
 /// Reads the experiment seed (`RECLUSTER_SEED`, default
-/// [`DEFAULT_SEED`]).
+/// [`DEFAULT_SEED`]). A malformed value is reported on stderr and the
+/// default applies.
 pub fn seed_from_env() -> u64 {
-    env::var("RECLUSTER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
+    env_u64("RECLUSTER_SEED").unwrap_or(DEFAULT_SEED)
 }
 
 /// Whether to run the miniature testbed instead of the paper-scale one

@@ -28,7 +28,8 @@
 //! # Incremental-index invariants
 //!
 //! The per-cluster mass is stored as an **integer numerator**
-//! `Σ_{pj ∈ c} result(q, pj)`; the float mass is derived on lookup as
+//! `Σ_{pj ∈ c} result(q, pj)`, next to the number of members answering
+//! at all; the float mass is derived on lookup as
 //! `numerator / total(q)`. Result counts and totals are integers too, so
 //! every delta is exact and order-independent, and a delta-maintained
 //! index is bit-for-bit equal to [`RecallIndex::rebuild_from`] after
@@ -46,6 +47,13 @@ use recluster_types::{ClusterId, Document, PeerId, Query, Sym, Workload};
 /// Identifier of a distinct query inside a [`RecallIndex`].
 pub type QueryId = u32;
 
+/// One sparse mass cell: `(cluster, Σ results, answering peers)`.
+pub type MassCell = (ClusterId, u64, u32);
+
+// The answering-peer count fills what would otherwise be padding next
+// to the `ClusterId`, so the column costs no memory.
+const _: () = assert!(std::mem::size_of::<MassCell>() == 16);
+
 /// Precomputed `result(q, p)` counts, totals, per-peer workload weights,
 /// and per-cluster recall masses.
 #[derive(Debug, Clone)]
@@ -61,14 +69,17 @@ pub struct RecallIndex {
     /// Per peer: `(qid, relative frequency in the peer's workload)`.
     peer_workload: Vec<Vec<(QueryId, f64)>>,
     /// Per query: numerator of the cluster recall mass as a **sparse**
-    /// row of `(cluster, Σ_{pj ∈ c} result(q, pj))` pairs, ascending by
-    /// cluster id, with the invariant *present ⟺ nonzero*. A query's
+    /// row of `(cluster, Σ_{pj ∈ c} result(q, pj), answering peers)`
+    /// cells, ascending by cluster id, with the invariant *present ⟺
+    /// both counts nonzero*. The answering-peer count is the number of
+    /// members with a nonzero `result(q, pj)` — what a member walk would
+    /// charge as `ResultReturn` messages. A query's
     /// results concentrate in a handful of clusters while `Cmax` can
     /// equal the peer count, so dense rows are O(queries × Cmax) memory
     /// (≈ 4.8 GB at a million peers) against O(Σ non-zero cells) here.
     /// Maintained by the `apply_*` deltas; [`RecallIndex::rebuild`]
     /// recomputes it.
-    mass_num: Vec<Vec<(ClusterId, u64)>>,
+    mass_num: Vec<Vec<MassCell>>,
     /// Cluster slots each `mass_num` row covers (the overlay's `Cmax` at
     /// the last rebuild/growth).
     cmax: usize,
@@ -465,18 +476,26 @@ impl RecallIndex {
     /// `Σ_{pj ∈ c} result(q, pj)`. Exposed so equivalence tests can
     /// assert delta-maintained state equals a rebuild *exactly*.
     pub fn cluster_mass_num(&self, qid: QueryId, cid: ClusterId) -> u64 {
+        self.cluster_answers(qid, cid).0
+    }
+
+    /// `(Σ_{pj ∈ c} result(q, pj), |{pj ∈ c : result(q, pj) > 0}|)` —
+    /// the results a query finds in cluster `cid` and how many members
+    /// return them, i.e. exactly what walking the members would count,
+    /// at O(log) cost. `(0, 0)` when no member answers.
+    pub fn cluster_answers(&self, qid: QueryId, cid: ClusterId) -> (u64, u32) {
         let row = &self.mass_num[qid as usize];
-        row.binary_search_by_key(&cid, |&(c, _)| c)
-            .map(|i| row[i].1)
-            .unwrap_or(0)
+        row.binary_search_by_key(&cid, |&(c, _, _)| c)
+            .map(|i| (row[i].1, row[i].2))
+            .unwrap_or((0, 0))
     }
 
     /// The nonzero mass cells of a query: ascending `(cluster,
-    /// numerator)` pairs, entries present **iff** nonzero. The memo
-    /// gate's O(log) "does this peer's workload overlap cluster `c` at
-    /// all" probe, and the place a sweep over a query's populated
-    /// clusters avoids touching `Cmax` slots.
-    pub fn mass_row(&self, qid: QueryId) -> &[(ClusterId, u64)] {
+    /// numerator, answering peers)` cells, entries present **iff**
+    /// nonzero. The memo gate's O(log) "does this peer's workload
+    /// overlap cluster `c` at all" probe, and the place a sweep over a
+    /// query's populated clusters avoids touching `Cmax` slots.
+    pub fn mass_row(&self, qid: QueryId) -> &[MassCell] {
         &self.mass_num[qid as usize]
     }
 
@@ -496,28 +515,42 @@ impl RecallIndex {
     }
 }
 
-/// Adds `count` to a sparse mass row, inserting the cluster's cell at
-/// its sorted position if absent. `count` must be nonzero (callers only
-/// pass stored result counts, which are nonzero by construction).
-fn mass_add(row: &mut Vec<(ClusterId, u64)>, cid: ClusterId, count: u64) {
-    match row.binary_search_by_key(&cid, |&(c, _)| c) {
-        Ok(i) => row[i].1 += count,
-        Err(i) => row.insert(i, (cid, count)),
+/// Adds one answering peer's `count` to a sparse mass row, inserting
+/// the cluster's cell at its sorted position if absent. `count` must be
+/// nonzero (callers only pass stored result counts, which are nonzero
+/// by construction), so every call is exactly one more answering peer.
+fn mass_add(row: &mut Vec<MassCell>, cid: ClusterId, count: u64) {
+    match row.binary_search_by_key(&cid, |&(c, _, _)| c) {
+        Ok(i) => {
+            row[i].1 += count;
+            row[i].2 += 1;
+        }
+        Err(i) => row.insert(i, (cid, count, 1)),
     }
 }
 
-/// Subtracts `count` from a sparse mass row, removing the cell when it
-/// reaches zero (the *present ⟺ nonzero* invariant).
+/// Removes one answering peer's `count` from a sparse mass row,
+/// dropping the cell when it reaches zero (the *present ⟺ nonzero*
+/// invariant; the mass and the answering-peer count reach zero
+/// together, since every peer contributes a nonzero count).
 ///
 /// # Panics
-/// Panics if the cluster has no cell or less mass than `count` — the
-/// same accounting bug a dense row would surface as integer underflow.
-fn mass_sub(row: &mut Vec<(ClusterId, u64)>, cid: ClusterId, count: u64) {
+/// Panics if the cluster has no cell, less mass than `count`, or no
+/// answering peer left — the same accounting bug a dense row would
+/// surface as integer underflow.
+fn mass_sub(row: &mut Vec<MassCell>, cid: ClusterId, count: u64) {
     let i = row
-        .binary_search_by_key(&cid, |&(c, _)| c)
+        .binary_search_by_key(&cid, |&(c, _, _)| c)
         .unwrap_or_else(|_| panic!("mass underflow: no cell for {cid}"));
-    row[i].1 = row[i].1.checked_sub(count).expect("mass underflow");
-    if row[i].1 == 0 {
+    let cell = &mut row[i];
+    cell.1 = cell.1.checked_sub(count).expect("mass underflow");
+    cell.2 = cell.2.checked_sub(1).expect("answering-peer underflow");
+    debug_assert_eq!(
+        cell.1 == 0,
+        cell.2 == 0,
+        "mass and answerers vanish together"
+    );
+    if cell.1 == 0 {
         row.remove(i);
     }
 }
@@ -585,6 +618,19 @@ mod tests {
     }
 
     #[test]
+    fn cluster_answers_count_answering_members() {
+        let (ov, store, w) = fixture();
+        let idx = RecallIndex::build(&ov, &store, &w);
+        let q1 = idx.qid(&Query::keyword(Sym(1))).unwrap();
+        // c0 = {p0, p1}: p0 holds 1 match, p1 holds 2 — two answerers.
+        assert_eq!(idx.cluster_answers(q1, ClusterId(0)), (3, 2));
+        assert_eq!(idx.cluster_answers(q1, ClusterId(2)), (0, 0));
+        let q2 = idx.qid(&Query::keyword(Sym(2))).unwrap();
+        assert_eq!(idx.cluster_answers(q2, ClusterId(0)), (1, 1));
+        assert_eq!(idx.cluster_answers(q2, ClusterId(2)), (1, 1));
+    }
+
+    #[test]
     fn refresh_mass_tracks_moves() {
         let (mut ov, store, w) = fixture();
         let mut idx = RecallIndex::build(&ov, &store, &w);
@@ -647,8 +693,8 @@ mod tests {
             for c in 0..cmax {
                 let cid = ClusterId::from_index(c);
                 assert_eq!(
-                    delta.cluster_mass_num(qid, cid),
-                    oracle.cluster_mass_num(qid, cid),
+                    delta.cluster_answers(qid, cid),
+                    oracle.cluster_answers(qid, cid),
                     "qid {qid} cluster {c}"
                 );
                 assert!(

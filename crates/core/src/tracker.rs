@@ -8,7 +8,7 @@
 //! particular cluster" (the contribution measure). [`simulate_period`]
 //! routes every peer's workload through the overlay and accumulates
 //! exactly those observations; under flood routing the derived estimates
-//! coincide with the oracle values computed from the [`RecallIndex`](crate::recall::RecallIndex)
+//! coincide with the oracle values computed from the [`RecallIndex`]
 //! (property-tested in `tests/`).
 //!
 //! # Examples
@@ -44,7 +44,7 @@ use recluster_overlay::{
 };
 use recluster_types::{ClusterId, PeerId, Query, Workload};
 
-use crate::recall::RecallIndex;
+use crate::recall::{QueryId, RecallIndex};
 
 use crate::costcache::CostCache;
 use crate::equilibrium::COST_EPS;
@@ -339,7 +339,11 @@ pub fn simulate_period_routed_full(
 /// wants — at a million peers, materializing per-requester observation
 /// records (one per distinct workload query per peer) dominates both
 /// the allocation volume and the peak RSS of a period, and the oracle
-/// repair path never reads them.
+/// repair path never reads them. Nor does it walk any cluster's
+/// members: the ledger and result totals come from the
+/// [`RecallIndex`]'s per-cluster mass cells
+/// (`Σ results`, answering peers), which the `System` mutators keep
+/// exact.
 pub fn simulate_period_traffic(
     system: &System,
     net: &mut SimNetwork,
@@ -416,6 +420,15 @@ impl EvalBufs {
 /// live demand (the period never routes it). Buffers in `bufs` are
 /// returned to their all-zeros/empty state before returning, so a fresh
 /// `EvalBufs` and a reused one are indistinguishable.
+///
+/// With `collect` the query is routed through [`route_to_clusters`],
+/// whose per-peer annotated results feed the observations and the
+/// served credit. Without it only counts are needed, and those are
+/// exactly what the [`RecallIndex`] mass cells hold: per target cluster
+/// one `QueryForward` plus one `ResultReturn` per answering member, and
+/// the cell's result sum — the same ledger and totals at O(log) per
+/// target instead of a member walk. `results`, `per_cluster` and
+/// `demand_buckets` then stay empty.
 #[allow(clippy::too_many_arguments)]
 fn eval_query(
     qid: usize,
@@ -427,10 +440,12 @@ fn eval_query(
     non_empty: &[ClusterId],
     plan: Option<&RoutePlan>,
     lossy: bool,
+    collect: bool,
     bufs: &mut EvalBufs,
 ) -> Option<QueryPacket> {
     let query = &index.queries()[qid];
-    // Live demand for this query, bucketed by requesting cluster.
+    // Live demand for this query, bucketed by requesting cluster (the
+    // buckets only when `collect` — served credit is their sole reader).
     // Workload entries always carry ≥ 1 occurrence, so "has a live
     // holder" and "has live demand" coincide; holder order does not
     // matter — the buckets are exact integer sums.
@@ -442,6 +457,9 @@ fn eval_query(
         };
         let count = workloads[slot as usize].count(query);
         total_demand += count;
+        if !collect {
+            continue;
+        }
         if bufs.demand_acc[rcid.index()] == 0 {
             bufs.demand_touched.push(rcid.index());
         }
@@ -467,41 +485,56 @@ fn eval_query(
             &bufs.routed_targets
         }
     };
-    let results = route_to_clusters(overlay, store, query, targets, &mut bufs.scratch);
-    let forwards = bufs.scratch.messages(MsgKind::QueryForward);
     let mut missed = 0u64;
     if lossy {
         // Accounting only (uncharged): what flooding would have found
         // in the clusters the lossy summary skipped.
         for &cid in non_empty {
-            if targets.binary_search(&cid).is_ok() {
-                continue;
-            }
-            for &peer in overlay.cluster(cid).members() {
-                missed += store.result_count(query, peer);
+            if targets.binary_search(&cid).is_err() {
+                missed += index.cluster_mass_num(qid as QueryId, cid);
             }
         }
     }
 
+    let mut results = Vec::new();
+    let mut per_cluster = Vec::new();
     let mut total = 0u64;
-    for r in &results {
-        let slot = r.cluster.index();
-        if bufs.cluster_acc[slot] == 0 {
-            bufs.touched.push(slot);
+    if collect {
+        results = route_to_clusters(overlay, store, query, targets, &mut bufs.scratch);
+        for r in &results {
+            let slot = r.cluster.index();
+            if bufs.cluster_acc[slot] == 0 {
+                bufs.touched.push(slot);
+            }
+            bufs.cluster_acc[slot] += r.count;
+            total += r.count;
         }
-        bufs.cluster_acc[slot] += r.count;
-        total += r.count;
+        bufs.touched.sort_unstable();
+        per_cluster = bufs
+            .touched
+            .iter()
+            .map(|&slot| (ClusterId::from_index(slot), bufs.cluster_acc[slot]))
+            .collect();
+        for &slot in &bufs.touched {
+            bufs.cluster_acc[slot] = 0;
+        }
+        bufs.touched.clear();
+    } else {
+        for &cid in targets {
+            // A plan may name a cluster that is empty now; like
+            // `route_to_clusters`, it is skipped without traffic.
+            if overlay.cluster(cid).is_empty() {
+                continue;
+            }
+            bufs.scratch
+                .send(MsgKind::QueryForward, 16 + 4 * query.len() as u64);
+            let (results, answerers) = index.cluster_answers(qid as QueryId, cid);
+            bufs.scratch
+                .send_many(MsgKind::ResultReturn, 12, u64::from(answerers));
+            total += results;
+        }
     }
-    bufs.touched.sort_unstable();
-    let per_cluster: Vec<(ClusterId, u64)> = bufs
-        .touched
-        .iter()
-        .map(|&slot| (ClusterId::from_index(slot), bufs.cluster_acc[slot]))
-        .collect();
-    for &slot in &bufs.touched {
-        bufs.cluster_acc[slot] = 0;
-    }
-    bufs.touched.clear();
+    let forwards = bufs.scratch.messages(MsgKind::QueryForward);
     let demand_buckets: Vec<(usize, u64)> = bufs
         .demand_touched
         .iter()
@@ -570,10 +603,11 @@ fn run_period_core(
     // Each distinct query's evaluation reads only period-constant state,
     // so the walk shards into contiguous qid ranges with per-range
     // buffers. The threshold keys on the *slot* count, not the query
-    // count: per-query work is dominated by the member walk of
-    // `route_to_clusters`, which scales with membership, so a small
-    // distinct-query set over a huge overlay is exactly the case worth
-    // sharding.
+    // count: per-query work scales with membership — the holder demand
+    // walk in both variants, plus the member walk of `route_to_clusters`
+    // when collecting (the traffic-only variant reads the index's mass
+    // cells instead) — so a small distinct-query set over a huge overlay
+    // is exactly the case worth sharding.
     let packets: Vec<Option<QueryPacket>> = if crate::shard::should_shard(n_slots) {
         crate::shard::map_ranges(n_queries, |range| {
             let mut bufs = EvalBufs::new(cmax);
@@ -589,6 +623,7 @@ fn run_period_core(
                         &non_empty,
                         plan.as_ref(),
                         lossy,
+                        collect,
                         &mut bufs,
                     )
                 })
@@ -611,6 +646,7 @@ fn run_period_core(
                     &non_empty,
                     plan.as_ref(),
                     lossy,
+                    collect,
                     &mut bufs,
                 )
             })
@@ -1529,9 +1565,10 @@ mod tests {
 
     #[test]
     fn traffic_variant_matches_full_bit_for_bit() {
-        // The traffic-only walk must charge the exact same ledger and
-        // produce the exact same report/histogram as the full one — it
-        // only skips the observation/served state nobody reads.
+        // The traffic-only walk must charge the exact same ledger, kind
+        // by kind, and produce the exact same report/histogram as the
+        // full one — it reads counts from the index where the full walk
+        // visits members, and skips the observation/served state.
         let sys = fixture();
         for mode in [
             RoutingMode::Flood,
@@ -1544,6 +1581,19 @@ mod tests {
             let (rep_traffic, hist_traffic) = simulate_period_traffic(&sys, &mut net_traffic, mode);
             assert_eq!(rep_full, rep_traffic, "{mode:?}");
             assert_eq!(hist_full, hist_traffic, "{mode:?}");
+            for kind in [MsgKind::QueryForward, MsgKind::ResultReturn] {
+                assert!(net_full.messages(kind) > 0, "{mode:?} {kind:?}");
+                assert_eq!(
+                    net_full.messages(kind),
+                    net_traffic.messages(kind),
+                    "{mode:?} {kind:?}"
+                );
+                assert_eq!(
+                    net_full.bytes(kind),
+                    net_traffic.bytes(kind),
+                    "{mode:?} {kind:?}"
+                );
+            }
             assert_eq!(net_full.total_messages(), net_traffic.total_messages());
             assert_eq!(net_full.total_bytes(), net_traffic.total_bytes());
         }

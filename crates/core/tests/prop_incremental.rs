@@ -4,8 +4,9 @@
 //! updated state must equal its from-scratch oracle **bit-identically**:
 //!
 //! * the [`RecallIndex`] (result rows, totals, workload weights, mass
-//!   numerators, derived float masses) against
-//!   [`RecallIndex::rebuild_from`], and
+//!   numerators and answering-peer counts, derived float masses)
+//!   against [`RecallIndex::rebuild_from`] and against a walk of each
+//!   cluster's members over the content store, and
 //! * the per-peer [`CostCache`](recluster_core::CostCache) (recall and
 //!   `WCost` terms, live demand) against a wholesale
 //!   [`System::rebuild_cost_cache`].
@@ -24,7 +25,10 @@ use recluster_types::{ClusterId, PeerId};
 
 /// Asserts the delta-maintained index state equals the content-aware
 /// oracle exactly: result rows, totals, workload weights, mass
-/// numerators, and the derived float masses.
+/// numerators and answering-peer counts, and the derived float masses.
+/// The mass cells must also equal a member walk over the store (what
+/// query routing would count) and hold the *present ⟺ both counts
+/// nonzero* invariant.
 fn assert_index_equals_rebuild(sys: &System) -> Result<(), TestCaseError> {
     let mut oracle: RecallIndex = sys.index().clone();
     oracle.rebuild_from(sys.overlay(), sys.store(), sys.workloads());
@@ -52,12 +56,51 @@ fn assert_index_equals_rebuild(sys: &System) -> Result<(), TestCaseError> {
             "total qid {}",
             qid
         );
+        let row = sys.index().mass_row(qid);
+        prop_assert!(
+            row.windows(2).all(|w| w[0].0 < w[1].0),
+            "mass row of qid {} not strictly ascending",
+            qid
+        );
+        for &(cid, mass, answerers) in row {
+            prop_assert!(
+                mass > 0 && answerers > 0,
+                "qid {} cluster {:?}: cell ({}, {}) present with a zero count",
+                qid,
+                cid,
+                mass,
+                answerers
+            );
+        }
+        let query = &sys.index().queries()[qid as usize];
         for c in 0..cmax {
             let cid = ClusterId::from_index(c);
             prop_assert_eq!(
                 sys.index().cluster_mass_num(qid, cid),
                 oracle.cluster_mass_num(qid, cid),
                 "mass numerator qid {} cluster {}",
+                qid,
+                c
+            );
+            prop_assert_eq!(
+                sys.index().cluster_answers(qid, cid),
+                oracle.cluster_answers(qid, cid),
+                "answers qid {} cluster {}",
+                qid,
+                c
+            );
+            let mut walked = (0u64, 0u32);
+            for &peer in sys.overlay().cluster(cid).members() {
+                let count = sys.store().result_count(query, peer);
+                if count > 0 {
+                    walked.0 += count;
+                    walked.1 += 1;
+                }
+            }
+            prop_assert_eq!(
+                sys.index().cluster_answers(qid, cid),
+                walked,
+                "answers vs member walk, qid {} cluster {}",
                 qid,
                 c
             );

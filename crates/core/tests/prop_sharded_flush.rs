@@ -8,7 +8,13 @@
 //!    pinned 1-, 2- and 8-thread pools, and
 //! 2. the sharded per-period tracker walk produces the same
 //!    observations, routing report, forward histogram and network
-//!    ledger as the sequential walk, bit for bit, under the same pools.
+//!    ledger as the sequential walk, bit for bit, under the same pools,
+//!    and
+//! 3. the traffic-only walk ([`simulate_period_traffic`]), which reads
+//!    result counts from the recall index instead of walking members,
+//!    charges the same per-kind ledger and reports the same routing
+//!    report and histogram as the observing walk, after every op, in
+//!    every routing mode, sharded or not.
 //!
 //! This is the contract that lets the million-peer churn path fan its
 //! two remaining single-threaded hot loops across cores without the
@@ -21,9 +27,25 @@ use common::{apply, arb_ops, arb_seed_syms, fixture};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 use recluster_core::shard::set_shard_min_override;
-use recluster_core::{simulate_period_routed_full, System};
-use recluster_overlay::{RoutingMode, SimNetwork, SummaryMode};
+use recluster_core::{simulate_period_routed_full, simulate_period_traffic, System};
+use recluster_overlay::{MsgKind, RoutingMode, SimNetwork, SummaryMode};
 use recluster_types::PeerId;
+
+/// The query-traffic ledger: `(messages, bytes)` of `QueryForward` and
+/// of `ResultReturn`, then the totals over every kind.
+fn query_ledger(net: &SimNetwork) -> [(u64, u64); 3] {
+    [
+        (
+            net.messages(MsgKind::QueryForward),
+            net.bytes(MsgKind::QueryForward),
+        ),
+        (
+            net.messages(MsgKind::ResultReturn),
+            net.bytes(MsgKind::ResultReturn),
+        ),
+        (net.total_messages(), net.total_bytes()),
+    ]
+}
 
 /// Flushes the cost cache (whatever sharding the current overrides
 /// select) and snapshots all three recall columns as bits.
@@ -98,6 +120,60 @@ proptest! {
             prop_assert_eq!(&seq_hist, &par_hist, "histogram, {} threads", threads);
             prop_assert_eq!(seq_net.total_messages(), par_net.total_messages());
             prop_assert_eq!(seq_net.total_bytes(), par_net.total_bytes());
+        }
+        set_shard_min_override(None);
+    }
+
+    /// The traffic-only walk equals the observing walk's report,
+    /// histogram and per-kind ledger after every op of the shared
+    /// mutation universe, under flood, exact and lossy routing, with
+    /// sharding forced off and on under pinned 1/2/8-thread pools.
+    #[test]
+    fn traffic_walk_equals_observing_walk(
+        docs in arb_seed_syms(),
+        queries in arb_seed_syms(),
+        ops in arb_ops(30),
+    ) {
+        let modes = [
+            RoutingMode::Flood,
+            RoutingMode::Routed(SummaryMode::Exact),
+            RoutingMode::Routed(SummaryMode::TopK(1)),
+        ];
+        let mut sys = fixture(&docs, &queries);
+        let mut net = SimNetwork::new();
+        for op in ops {
+            apply(&mut sys, &mut net, op);
+            for mode in modes {
+                set_shard_min_override(Some(usize::MAX));
+                let mut full_net = SimNetwork::new();
+                let (_, full_rep, full_hist) =
+                    simulate_period_routed_full(&sys, &mut full_net, mode);
+                for shard_min in [usize::MAX, 1] {
+                    set_shard_min_override(Some(shard_min));
+                    for threads in [1usize, 2, 8] {
+                        let pool = ThreadPoolBuilder::new()
+                            .num_threads(threads)
+                            .build()
+                            .expect("shim pool build never fails");
+                        let mut traffic_net = SimNetwork::new();
+                        let (rep, hist) =
+                            pool.install(|| simulate_period_traffic(&sys, &mut traffic_net, mode));
+                        prop_assert_eq!(
+                            full_rep, rep,
+                            "report, {:?}, shard_min {}, {} threads", mode, shard_min, threads
+                        );
+                        prop_assert_eq!(
+                            &full_hist, &hist,
+                            "histogram, {:?}, shard_min {}, {} threads", mode, shard_min, threads
+                        );
+                        prop_assert_eq!(
+                            query_ledger(&full_net),
+                            query_ledger(&traffic_net),
+                            "ledger, {:?}, shard_min {}, {} threads", mode, shard_min, threads
+                        );
+                    }
+                }
+            }
         }
         set_shard_min_override(None);
     }

@@ -197,10 +197,11 @@ impl ExperimentConfig {
     /// once more, with the same lean per-peer load (2 docs, ~2 queries
     /// per peer over a 60-word category vocabulary). The distinct-query
     /// set stays vocabulary-bounded (~600), so the tracker's per-period
-    /// cost is dominated by the `route_to_clusters` member walks —
-    /// sharded across cores — and the compact u32 columns keep the
-    /// whole system in a few GB of RSS (the `churn_1M` bench cell pins
-    /// the peak).
+    /// traffic measurement is one holder walk per distinct query, with
+    /// every target's counts read from the recall index's mass cells
+    /// (no member walks), and the compact u32 columns keep the whole
+    /// system in a few GB of RSS (the `churn_1M` bench cell pins the
+    /// peak).
     pub fn million(seed: u64) -> Self {
         ExperimentConfig {
             n_peers: 1_000_000,

@@ -503,13 +503,17 @@ impl Fnv {
 }
 
 /// Per-cluster result cache behind the streamed evaluation: for each
-/// `(cluster, query)` pair the total result count and the number of
-/// answering peers, invalidated per cluster whenever membership or
-/// content changes. Between invalidations a repeated query costs one
-/// map lookup per target cluster instead of a member walk — the
-/// amortization that makes a million-occurrence stream tractable.
+/// `(cluster, query)` pair the total result count, invalidated per
+/// cluster whenever membership or content changes. A miss on a keyword
+/// query reads the system's eagerly maintained summary term count —
+/// the member documents carrying the keyword, which is exactly the
+/// keyword's result count over the cluster — so no miss walks members
+/// on the sampled streams. Any other query falls back to one member
+/// walk. The miss counter is the report's `distinct_evaluations`: how
+/// many distinct `(cluster, query)` evaluations the stream needed
+/// between invalidations.
 struct EvalCache {
-    per_cluster: Vec<BTreeMap<Query, (u64, u64)>>,
+    per_cluster: Vec<BTreeMap<Query, u64>>,
     misses: u64,
 }
 
@@ -531,24 +535,25 @@ impl EvalCache {
         self.per_cluster[cid.index()].clear();
     }
 
-    /// `(results, answering peers)` of `query` in `cid`, from cache or
-    /// by walking the cluster's members once.
-    fn eval(&mut self, system: &System, cid: ClusterId, query: &Query) -> (u64, u64) {
+    /// Results of `query` in `cid`, from cache or from the system's
+    /// current state.
+    fn eval(&mut self, system: &System, cid: ClusterId, query: &Query) -> u64 {
         if let Some(&hit) = self.per_cluster[cid.index()].get(query) {
             return hit;
         }
         self.misses += 1;
-        let mut results = 0u64;
-        let mut peers = 0u64;
-        for &peer in system.overlay().cluster(cid).members() {
-            let count = system.store().result_count(query, peer);
-            if count > 0 {
-                results += count;
-                peers += 1;
-            }
-        }
-        self.per_cluster[cid.index()].insert(query.clone(), (results, peers));
-        (results, peers)
+        let results = match query.attrs() {
+            &[sym] => system.summaries().term_count(cid, sym),
+            _ => system
+                .overlay()
+                .cluster(cid)
+                .members()
+                .iter()
+                .map(|&peer| system.store().result_count(query, peer))
+                .sum(),
+        };
+        self.per_cluster[cid.index()].insert(query.clone(), results);
+        results
     }
 }
 
@@ -883,7 +888,7 @@ impl TrafficEngine {
                     continue;
                 }
                 fanned += 1;
-                let (results, _peers) = self.cache.eval(&self.testbed.system, cid, query);
+                let results = self.cache.eval(&self.testbed.system, cid, query);
                 returned += results;
             }
             // What flooding the *live* overlay would have found in the
@@ -893,7 +898,7 @@ impl TrafficEngine {
                 if targets.binary_search(&cid).is_ok() {
                     continue;
                 }
-                let (results, _) = self.cache.eval(&self.testbed.system, cid, query);
+                let results = self.cache.eval(&self.testbed.system, cid, query);
                 missed += results;
             }
             self.histogram.record(fanned as usize, occ);
@@ -1171,5 +1176,53 @@ mod tests {
         let drawn: u64 = slice.values().sum();
         assert_eq!(drawn, dyn_.slice_rate(&traffic, 3));
         assert!(slice.len() as u64 <= drawn, "coalescing never expands");
+    }
+
+    #[test]
+    fn summary_backed_miss_equals_member_walk_after_churn_and_repair() {
+        // The cache answers a keyword miss from the system's summary
+        // term count; after churn and repair ticks that must still be
+        // exactly what walking the cluster's members counts.
+        let (cfg, traffic) = traffic_small_config(37);
+        let mut engine = TrafficEngine::new(&cfg, traffic);
+        let mut checked = 0usize;
+        for t in 0..engine.cfg.slices {
+            let churned = t > 0 && t % engine.cfg.churn_every == 0;
+            let repaired = t > 0 && t % engine.cfg.repair_every == 0;
+            if churned {
+                engine.churn_tick();
+            }
+            if repaired {
+                engine.repair_tick(t);
+            }
+            if churned || repaired {
+                let slice = engine
+                    .dynamics
+                    .sample_slice(&engine.cfg, t, &mut engine.rng);
+                let system = &engine.testbed.system;
+                let mut fresh = EvalCache::new(system.overlay().cmax());
+                for query in slice.keys() {
+                    assert_eq!(query.len(), 1, "the dynamics sample keywords only");
+                    for &cid in system.overlay().non_empty_ids() {
+                        let walked: u64 = system
+                            .overlay()
+                            .cluster(cid)
+                            .members()
+                            .iter()
+                            .map(|&peer| system.store().result_count(query, peer))
+                            .sum();
+                        assert_eq!(
+                            fresh.eval(system, cid, query),
+                            walked,
+                            "slice {t}, {cid}, {query:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+            engine.query_slice(t);
+        }
+        assert!(engine.churn_events > 0 && engine.moves > 0);
+        assert!(checked > 0);
     }
 }
