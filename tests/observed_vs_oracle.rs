@@ -4,16 +4,71 @@
 //! information.
 
 use recluster_core::{
-    best_response, pcost, simulate_period, AltruisticStrategy, RelocationStrategy,
+    best_response, pcost, simulate_period, AltruisticStrategy, HybridStrategy, ObservedStats,
+    ObservedStrategy, Proposal, RelocationStrategy, System,
 };
 use recluster_overlay::SimNetwork;
 use recluster_sim::scenario::{build_system, ExperimentConfig, InitialConfig, Scenario};
 
+/// Asserts that `observed` and `oracle` propose for every live peer the
+/// same destination (or both abstain) with gains within 1e-9, under both
+/// empty-target settings.
+fn assert_same_proposals(
+    sys: &mut System,
+    observed: &ObservedStrategy<'_>,
+    oracle: &dyn RelocationStrategy,
+    label: &str,
+) {
+    let peers: Vec<_> = sys.overlay().peers().collect();
+    let view = sys.view();
+    for &peer in &peers {
+        for allow_empty in [true, false] {
+            let ours = observed.propose(&view, peer, allow_empty);
+            let theirs = oracle.propose(&view, peer, allow_empty);
+            match (ours, theirs) {
+                (Some(Proposal { to: a, gain: ga }), Some(Proposal { to: b, gain: gb })) => {
+                    assert_eq!(a, b, "{label}: {peer} allow_empty={allow_empty}");
+                    assert!(
+                        (ga - gb).abs() < 1e-9,
+                        "{label}: {peer} allow_empty={allow_empty} gain {ga} vs {gb}"
+                    );
+                }
+                (a, b) => assert_eq!(a, b, "{label}: {peer} allow_empty={allow_empty}"),
+            }
+        }
+    }
+}
+
 fn check_scenario(scenario: Scenario, seed: u64) {
     let cfg = ExperimentConfig::small(seed);
-    let tb = build_system(scenario, InitialConfig::RandomM, &cfg);
-    let sys = &tb.system;
+    let mut tb = build_system(scenario, InitialConfig::RandomM, &cfg);
+    check_estimates(scenario, seed, &tb.system);
 
+    // The observed altruistic and hybrid adapters decide exactly as
+    // their oracle strategies under flood routing with decay disabled.
+    let mut stats = ObservedStats::new(0.0);
+    stats.absorb(&simulate_period(&tb.system, &mut SimNetwork::new()));
+    let mut altruistic = AltruisticStrategy::new();
+    altruistic.prepare(&tb.system);
+    assert_same_proposals(
+        &mut tb.system,
+        &ObservedStrategy::altruistic(&stats),
+        &altruistic,
+        &format!("{scenario:?} seed {seed} altruistic"),
+    );
+    for lambda in [0.0, 0.5, 1.0] {
+        let mut hybrid = HybridStrategy::new(lambda);
+        hybrid.prepare(&tb.system);
+        assert_same_proposals(
+            &mut tb.system,
+            &ObservedStrategy::hybrid(&stats, lambda),
+            &hybrid,
+            &format!("{scenario:?} seed {seed} hybrid({lambda})"),
+        );
+    }
+}
+
+fn check_estimates(scenario: Scenario, seed: u64, sys: &System) {
     let mut net = SimNetwork::new();
     let obs = simulate_period(sys, &mut net);
 
