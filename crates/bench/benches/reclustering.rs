@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use recluster_baselines::{recluster_kmeans, KMeansConfig};
 use recluster_core::simulate_period;
-use recluster_overlay::SimNetwork;
+use recluster_overlay::{RoutingMode, SimNetwork};
 use recluster_sim::scenario::{build_system, ExperimentConfig, InitialConfig, Scenario};
 
 fn bench_kmeans(c: &mut Criterion) {
@@ -42,7 +42,7 @@ fn bench_simulate_period(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::from_parameter("small-40p"), &tb, |b, tb| {
         b.iter(|| {
             let mut net = SimNetwork::new();
-            simulate_period(&tb.system, &mut net)
+            simulate_period(&tb.system, &mut net, RoutingMode::Flood).0
         })
     });
     group.finish();

@@ -9,7 +9,7 @@
 //! the one where flooding hurts most — one forward per peer per query.
 
 use criterion::{BenchmarkId, Criterion};
-use recluster_core::simulate_period_routed;
+use recluster_core::simulate_period;
 use recluster_overlay::{RoutingMode, SimNetwork, SummaryMode};
 use recluster_sim::scenario::{build_system, ExperimentConfig, InitialConfig, Scenario};
 
@@ -50,7 +50,7 @@ fn bench_simulate_period_modes(
             group.bench_with_input(BenchmarkId::new(mode_label, label), tb, |b, tb| {
                 b.iter(|| {
                     let mut net = SimNetwork::new();
-                    simulate_period_routed(&tb.system, &mut net, mode)
+                    simulate_period(&tb.system, &mut net, mode)
                 })
             });
         }
@@ -67,7 +67,7 @@ fn main() {
     for (label, tb) in &testbeds {
         for (mode_label, mode) in MODES {
             let mut net = SimNetwork::new();
-            let (_, report) = simulate_period_routed(&tb.system, &mut net, mode);
+            let (_, report, _) = simulate_period(&tb.system, &mut net, mode);
             let per_query = net.total_messages() as f64 / report.query_events.max(1) as f64;
             criterion::record_value(
                 &format!("routing/messages_per_query/{mode_label}-{label}"),

@@ -39,36 +39,62 @@ pub struct BestResponse {
 /// *first* empty slot can ever win a strict-improvement scan over
 /// ascending ids — it is evaluated at exactly its id position and the
 /// rest are skipped, which selects the same cluster a full scan would.
+///
+/// # Panics
+/// Panics if the peer is unassigned.
 pub fn best_response<S: SystemRead + ?Sized>(
     system: &S,
     peer: PeerId,
     allow_empty: bool,
 ) -> BestResponse {
-    let mut chain = Vec::new();
-    best_response_with_chain(system, peer, allow_empty, &mut chain)
+    best_response_traced(system, peer, allow_empty, &mut Vec::new())
 }
 
-/// [`best_response`] that additionally records the scan's **take
-/// chain** into `chain` (cleared first): the successive clusters that
-/// strictly improved the running best, in scan order, ending with the
-/// returned cluster (empty when staying is optimal). The chain is what
-/// cross-round proposal memoization needs — a memoized scan replays
-/// identically as long as no cluster *in the chain* changed and no
-/// changed cluster newly undercuts the final best, because a cluster
-/// outside the chain was rejected against a running best that is at
-/// most the current cost at every scan position.
-pub fn best_response_with_chain<S: SystemRead + ?Sized>(
+/// [`best_response`] with the scan's take chain recorded into `chain`
+/// (see [`best_response_with_chain`]).
+pub(crate) fn best_response_traced<S: SystemRead + ?Sized>(
     system: &S,
     peer: PeerId,
     allow_empty: bool,
     chain: &mut Vec<ClusterId>,
 ) -> BestResponse {
-    chain.clear();
     let current = system
         .overlay()
         .cluster_of(peer)
         .unwrap_or_else(|| panic!("{peer} is unassigned"));
-    let current_cost = pcost_current(system, peer);
+    best_response_with_chain(
+        system,
+        current,
+        pcost_current(system, peer),
+        allow_empty,
+        |cid| pcost(system, peer, cid),
+        chain,
+    )
+}
+
+/// The selfish candidate scan behind [`best_response`], over any cost
+/// source: the oracle passes [`pcost`], the observed strategy its
+/// estimated cost. `current` is the peer's cluster and `current_cost`
+/// its cost there; `cost_of(cid)` is the cost of joining `cid`.
+///
+/// The scan additionally records its **take chain** into `chain`
+/// (cleared first): the successive clusters that strictly improved the
+/// running best, in scan order, ending with the returned cluster (empty
+/// when staying is optimal). The chain is what cross-round proposal
+/// memoization needs — a memoized scan replays identically as long as
+/// no cluster *in the chain* changed and no changed cluster newly
+/// undercuts the final best, because a cluster outside the chain was
+/// rejected against a running best that is at most the current cost at
+/// every scan position.
+pub fn best_response_with_chain<S: SystemRead + ?Sized>(
+    system: &S,
+    current: ClusterId,
+    current_cost: f64,
+    allow_empty: bool,
+    cost_of: impl Fn(ClusterId) -> f64,
+    chain: &mut Vec<ClusterId>,
+) -> BestResponse {
+    chain.clear();
     let mut best = BestResponse {
         cluster: current,
         gain: 0.0,
@@ -78,7 +104,7 @@ pub fn best_response_with_chain<S: SystemRead + ?Sized>(
         if cid == current {
             return;
         }
-        let cost = pcost(system, peer, cid);
+        let cost = cost_of(cid);
         if cost < *best_cost - COST_EPS {
             *best_cost = cost;
             *best = BestResponse {

@@ -22,9 +22,11 @@ use recluster_overlay::{MsgKind, SimNetwork};
 use recluster_types::{ClusterId, PeerId};
 
 use crate::global::{scost_normalized, wcost_normalized};
-use crate::protocol::locks::LockSet;
 use crate::protocol::memo::ProposalMemo;
-use crate::protocol::{ProtocolConfig, RelocationRequest};
+use crate::protocol::{
+    apply_policy, base_allow_empty, fold_min_costs, grant_requests, select_request, ProtocolConfig,
+    RelocationRequest,
+};
 use crate::strategy::{ChainInfo, Proposal, RelocationStrategy};
 use crate::system::System;
 use crate::view::SystemView;
@@ -63,6 +65,26 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
+    /// Runs `round` for rounds 0, 1, … until one forwards no request
+    /// (converged) or `max_rounds` is exhausted — the run loop both
+    /// protocol drivers share.
+    pub(crate) fn drive(
+        max_rounds: usize,
+        mut round: impl FnMut(usize) -> RoundOutcome,
+    ) -> RunOutcome {
+        let mut rounds = Vec::new();
+        let mut converged = false;
+        for r in 0..max_rounds {
+            let outcome = round(r);
+            converged = outcome.requests.is_empty();
+            rounds.push(outcome);
+            if converged {
+                break;
+            }
+        }
+        RunOutcome { rounds, converged }
+    }
+
     /// Rounds executed until convergence (excluding the terminal empty
     /// round, matching how the paper counts "# Rounds"), or the full
     /// budget when not converged.
@@ -151,26 +173,6 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         self.config
     }
 
-    /// The `allow_empty` flag the configured policy hands to the
-    /// strategy's `propose` — shared with the message runtime via
-    /// [`crate::protocol::base_allow_empty`].
-    fn base_allow_empty(&self) -> bool {
-        crate::protocol::base_allow_empty(&self.config)
-    }
-
-    /// Applies the empty-target policy and the `ε` threshold to a raw
-    /// strategy proposal — delegated to the policy helper both protocol
-    /// drivers share ([`crate::protocol::apply_policy`]), so the two
-    /// cannot drift on policy arithmetic.
-    fn apply_policy(
-        &self,
-        view: &SystemView<'_>,
-        peer: PeerId,
-        raw: Option<Proposal>,
-    ) -> Option<Proposal> {
-        crate::protocol::apply_policy(&self.config, &self.min_costs, view, peer, raw)
-    }
-
     /// Phase 1 against a snapshot: every live peer's raw proposal —
     /// memo hits re-emitted, misses recomputed (sharded by peer range
     /// across the rayon shim when the system is large enough and the
@@ -184,7 +186,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         view: &SystemView<'_>,
         net: &mut SimNetwork,
     ) -> (Vec<RelocationRequest>, usize, usize) {
-        let allow_empty = self.base_allow_empty();
+        let allow_empty = base_allow_empty(&self.config);
         let non_empty: Vec<ClusterId> = view.overlay().non_empty_ids().to_vec();
         // The flattened gain-report order: clusters ascending, members
         // ascending within each — identical to the nested loops below.
@@ -248,38 +250,24 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
             // Every member reports its gain to the representative.
             let members = view.overlay().cluster(cid).members();
             net.send_many(MsgKind::GainReport, 16, members.len() as u64);
-
-            // The representative selects the highest-gain peer
-            // (deterministic tie-break by peer id).
-            let mut best: Option<RelocationRequest> = None;
-            for &peer in members {
-                let (proposal, _) = &raw[next];
-                let proposal = *proposal;
-                next += 1;
-                if let Some(p) = self.apply_policy(view, peer, proposal) {
-                    let candidate = RelocationRequest {
+            let proposals = &raw[next..next + members.len()];
+            next += members.len();
+            let best = select_request(members.iter().zip(proposals).filter_map(
+                |(&peer, (proposal, _))| {
+                    let p = apply_policy(&self.config, &self.min_costs, view, peer, *proposal)?;
+                    let req = RelocationRequest {
                         src: cid,
                         dst: p.to,
                         peer,
                         gain: p.gain,
                     };
-                    let replace = match &best {
-                        None => true,
-                        Some(b) => {
-                            p.gain > b.gain + f64::EPSILON
-                                || ((p.gain - b.gain).abs() <= f64::EPSILON
-                                    && candidate.peer < b.peer)
-                        }
-                    };
-                    if replace {
-                        best = Some(candidate);
-                    }
-                }
-            }
+                    Some((req, ()))
+                },
+            ));
             // Request or heartbeat to every other representative.
             let fanout = (non_empty.len() as u64).saturating_sub(1);
             match best {
-                Some(req) => {
+                Some((req, ())) => {
                     net.send_many(MsgKind::RelocationRequest, 24, fanout);
                     requests.push(req);
                 }
@@ -304,24 +292,16 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         // is `&self` with no interior mutability, safe to shard.
         let (mut requests, recomputed, memoized) = {
             let view = system.view();
-            self.fold_min_costs(&view, &[]);
+            fold_min_costs(&view, &mut self.min_costs, &[]);
             self.phase1(&view, net)
         };
 
         // ---- Phase 2: identical sorted list at every representative. --
         RelocationRequest::sort_requests(&mut requests);
-        let mut locks = LockSet::new();
-        let mut granted = Vec::new();
-        for &req in &requests {
-            if req.src == req.dst {
-                continue;
-            }
-            if !self.config.use_locks || locks.admissible(req.src, req.dst) {
-                locks.grant(req.src, req.dst);
-                net.send_many(MsgKind::GrantCoordination, 16, 2);
-                granted.push(req);
-            }
-        }
+        let granted: Vec<RelocationRequest> = grant_requests(&requests, self.config.use_locks)
+            .filter_map(|(req, verdict)| verdict.is_ok().then_some(req))
+            .collect();
+        net.send_many(MsgKind::GrantCoordination, 16, 2 * granted.len() as u64);
         let moves: Vec<(PeerId, ClusterId)> = granted.iter().map(|r| (r.peer, r.dst)).collect();
         system.move_peers(&moves);
 
@@ -331,7 +311,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         // of re-firing every round.
         let movers: Vec<PeerId> = moves.iter().map(|&(p, _)| p).collect();
         let view = system.view();
-        self.fold_min_costs(&view, &movers);
+        fold_min_costs(&view, &mut self.min_costs, &movers);
 
         RoundOutcome {
             round,
@@ -345,32 +325,15 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         }
     }
 
-    /// Folds the current individual costs into `min_costs`; peers listed
-    /// in `reset` take the current cost outright (fresh start after a
-    /// move). Departed peers get `INFINITY`. Shared with the message
-    /// runtime via [`crate::protocol::fold_min_costs`].
-    fn fold_min_costs(&mut self, view: &SystemView<'_>, reset: &[PeerId]) {
-        crate::protocol::fold_min_costs(view, &mut self.min_costs, reset);
-    }
-
     /// Runs rounds until a request-free round (converged) or the round
     /// budget is exhausted. Frustration reference points persist across
     /// runs of the same engine: "increased since the last time period"
     /// compares against the best cost held in earlier periods, so a
     /// workload/content shock between two runs is visible to the second.
     pub fn run(&mut self, system: &mut System, net: &mut SimNetwork) -> RunOutcome {
-        let mut rounds = Vec::new();
-        let mut converged = false;
-        for round in 0..self.config.max_rounds {
-            let outcome = self.run_round(system, net, round);
-            let done = outcome.requests.is_empty();
-            rounds.push(outcome);
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        RunOutcome { rounds, converged }
+        RunOutcome::drive(self.config.max_rounds, |round| {
+            self.run_round(system, net, round)
+        })
     }
 }
 
@@ -381,7 +344,7 @@ mod tests {
     use recluster_types::{Document, Query, Sym, Workload};
 
     use crate::equilibrium::is_nash_equilibrium;
-    use crate::protocol::EmptyTargetPolicy;
+    use crate::protocol::{EmptyTargetPolicy, LockSet};
     use crate::strategy::SelfishStrategy;
     use crate::system::GameConfig;
 

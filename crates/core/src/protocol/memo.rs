@@ -364,7 +364,7 @@ fn sorted_contains(sorted: &[ClusterId], cid: ClusterId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::equilibrium::{best_response_with_chain, COST_EPS};
+    use crate::equilibrium::{best_response_traced, COST_EPS};
     use crate::system::{GameConfig, System};
     use recluster_overlay::{ContentStore, Overlay, Theta};
     use recluster_types::{Document, Query, Sym, Workload};
@@ -392,7 +392,7 @@ mod tests {
     fn traced_proposal(sys: &mut System, peer: PeerId) -> (Option<Proposal>, ChainInfo) {
         let view = sys.view();
         let mut chain = Vec::new();
-        let br = best_response_with_chain(&view, peer, true, &mut chain);
+        let br = best_response_traced(&view, peer, true, &mut chain);
         let proposal = (br.gain > COST_EPS).then_some(Proposal {
             to: br.cluster,
             gain: br.gain,

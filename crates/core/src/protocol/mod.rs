@@ -13,7 +13,11 @@
 //! decisions without extra coordination. The protocol stops when no
 //! relocation request clears the gain threshold `ε`.
 //!
-//! Two drivers execute this protocol:
+//! The decision rules live once, in this module's pure kernels:
+//! [`select_request`] is the representative's phase-1 pick,
+//! [`grant_requests`] the phase-2 lock-rule scan, and `apply_policy`
+//! the empty-target and `ε` filter. Two drivers only move the inputs and
+//! verdicts of those kernels around:
 //!
 //! * [`ProtocolEngine`] — the optimized shared-state driver: one
 //!   [`crate::view::SystemView`] snapshot per round, sharded
@@ -71,6 +75,52 @@ impl RelocationRequest {
                 .then(a.peer.cmp(&b.peer))
         });
     }
+}
+
+/// The representative's phase-1 pick (§3.2): the highest-gain
+/// candidate, where a gain must beat the running best by more than
+/// `f64::EPSILON` and gains within that window go to the lower peer id.
+/// `candidates` arrive in ascending peer order; each request travels with
+/// a payload the caller needs back (the runtime's gain commitment).
+pub fn select_request<T>(
+    candidates: impl IntoIterator<Item = (RelocationRequest, T)>,
+) -> Option<(RelocationRequest, T)> {
+    let mut best: Option<(RelocationRequest, T)> = None;
+    for candidate in candidates {
+        let (c, _) = &candidate;
+        let replace = best.as_ref().is_none_or(|(b, _)| {
+            c.gain > b.gain + f64::EPSILON
+                || ((c.gain - b.gain).abs() <= f64::EPSILON && c.peer < b.peer)
+        });
+        if replace {
+            best = Some(candidate);
+        }
+    }
+    best
+}
+
+/// The phase-2 grant scan (§3.2) over a list already sorted by
+/// [`RelocationRequest::sort_requests`]: one verdict per request, in list
+/// order. A request naming its own cluster as destination is denied as
+/// [`DenyReason::SelfMove`]; every other request is granted unless the
+/// anti-cycle lock rule blocks it ([`DenyReason::Locked`]). With
+/// `use_locks = false` every other request is granted.
+pub fn grant_requests(
+    sorted: &[RelocationRequest],
+    use_locks: bool,
+) -> impl Iterator<Item = (RelocationRequest, Result<(), DenyReason>)> + '_ {
+    let mut locks = LockSet::new();
+    sorted.iter().map(move |&req| {
+        let verdict = if req.src == req.dst {
+            Err(DenyReason::SelfMove)
+        } else if !use_locks || locks.admissible(req.src, req.dst) {
+            locks.grant(req.src, req.dst);
+            Ok(())
+        } else {
+            Err(DenyReason::Locked)
+        };
+        (req, verdict)
+    })
 }
 
 /// Whether (and when) empty clusters are admissible relocation targets.
@@ -343,6 +393,48 @@ mod tests {
         RelocationRequest::sort_requests(&mut a);
         RelocationRequest::sort_requests(&mut b);
         assert_eq!(a, b);
+    }
+
+    fn req(src: u32, dst: u32, peer: u32, gain: f64) -> RelocationRequest {
+        RelocationRequest {
+            src: ClusterId(src),
+            dst: ClusterId(dst),
+            peer: PeerId(peer),
+            gain,
+        }
+    }
+
+    /// A gain-sorted list where the top grant c0 → c1 locks c0 against
+    /// joins and c1 against leaves, with a self-move in between.
+    fn contested() -> Vec<RelocationRequest> {
+        vec![
+            req(0, 1, 0, 0.9),
+            req(2, 2, 1, 0.8),
+            req(1, 2, 2, 0.7),
+            req(3, 0, 3, 0.6),
+            req(3, 4, 4, 0.5),
+        ]
+    }
+
+    fn verdicts(sorted: &[RelocationRequest], use_locks: bool) -> Vec<Result<(), DenyReason>> {
+        grant_requests(sorted, use_locks).map(|(_, v)| v).collect()
+    }
+
+    #[test]
+    fn grant_scan_denies_self_moves_and_locked_requests() {
+        use DenyReason::{Locked, SelfMove};
+        assert_eq!(
+            verdicts(&contested(), true),
+            vec![Ok(()), Err(SelfMove), Err(Locked), Err(Locked), Ok(())]
+        );
+    }
+
+    #[test]
+    fn grant_scan_without_locks_grants_all_but_self_moves() {
+        assert_eq!(
+            verdicts(&contested(), false),
+            vec![Ok(()), Err(DenyReason::SelfMove), Ok(()), Ok(()), Ok(())]
+        );
     }
 
     #[test]

@@ -786,20 +786,11 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
     }
 
     /// Runs rounds until a request-free round (converged) or the round
-    /// budget is exhausted — the sync engine's loop, verbatim.
+    /// budget is exhausted — the sync engine's loop.
     pub fn run(&mut self, system: &mut System, ledger: &mut SimNetwork) -> RunOutcome {
-        let mut rounds = Vec::new();
-        let mut converged = false;
-        for round in 0..self.config.max_rounds {
-            let outcome = self.run_round(system, ledger, round);
-            let done = outcome.requests.is_empty();
-            rounds.push(outcome);
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        RunOutcome { rounds, converged }
+        RunOutcome::drive(self.config.max_rounds, |round| {
+            self.run_round(system, ledger, round)
+        })
     }
 }
 
@@ -818,7 +809,7 @@ impl<S: RelocationStrategy + std::fmt::Debug> std::fmt::Debug for RuntimeEngine<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recluster_overlay::{ContentStore, MsgKind, Overlay, Theta};
+    use recluster_overlay::{ContentStore, MsgKind, Overlay, RoutingMode, Theta};
     use recluster_types::{Document, Query, Sym, Workload};
 
     use crate::protocol::ProtocolEngine;
@@ -919,7 +910,7 @@ mod tests {
         let mut ledger = SimNetwork::new();
         let mut stats = ObservedStats::new(0.5);
         for _ in 0..4 {
-            stats.absorb(&simulate_period(&sys, &mut ledger));
+            stats.absorb(&simulate_period(&sys, &mut ledger, RoutingMode::Flood).0);
         }
         let liars = LiarConfig {
             fraction: 1.0,
@@ -1025,7 +1016,7 @@ mod tests {
         let mut ledger = SimNetwork::new();
         let mut stats = ObservedStats::new(0.5);
         for _ in 0..4 {
-            stats.absorb(&simulate_period(&sys, &mut ledger));
+            stats.absorb(&simulate_period(&sys, &mut ledger, RoutingMode::Flood).0);
         }
         let mut runtime = RuntimeEngine::new(SelfishStrategy, config(), NetConfig::ideal());
         runtime.run(&mut sys, &mut ledger);

@@ -37,8 +37,7 @@ use recluster_overlay::MsgKind;
 use recluster_types::{ClusterId, PeerId};
 
 use super::message::{gain_commitment, DenyReason, Message};
-use crate::protocol::locks::LockSet;
-use crate::protocol::RelocationRequest;
+use crate::protocol::{grant_requests, select_request, RelocationRequest};
 
 /// A decision event a machine reports up to its driver — the runtime's
 /// window into what representatives concluded, used to assemble
@@ -355,71 +354,15 @@ impl PeerStateMachine {
                 claimed_gain,
                 commitment,
             } => {
-                let report = from == self.cluster;
-                let Role::Representative(rep) = &mut self.role else {
-                    return false;
-                };
                 let req = RelocationRequest {
                     src: from,
                     dst: to,
                     peer,
                     gain: claimed_gain,
                 };
-                if report {
-                    // A frame from outside the snapshot's member list
-                    // (a mid-round joiner) is consumed regardless of
-                    // phase state — it is not late, just early.
-                    if rep.members.binary_search(&peer).is_err() {
-                        return true;
-                    }
-                    if rep.phase1_fired {
-                        return false;
-                    }
-                    // A duplicate is consumed without advancing.
-                    if !rep.reports_heard.insert(peer) {
-                        return true;
-                    }
-                    rep.reports.push((req, commitment));
-                } else {
-                    // Same for a forward from a cluster the snapshot
-                    // doesn't know, or one already heard.
-                    if !rep.others.iter().any(|&(c, _)| c == from) {
-                        return true;
-                    }
-                    if rep.phase2_fired {
-                        return false;
-                    }
-                    if !rep.clusters_heard.insert(from) {
-                        return true;
-                    }
-                    rep.peer_requests.push(req);
-                }
-                true
+                self.collect(peer, from, Some((req, commitment)))
             }
-            Message::Heartbeat { peer, from } => {
-                let report = from == self.cluster;
-                let Role::Representative(rep) = &mut self.role else {
-                    return false;
-                };
-                if report {
-                    if rep.members.binary_search(&peer).is_err() {
-                        return true;
-                    }
-                    if rep.phase1_fired {
-                        return false;
-                    }
-                    rep.reports_heard.insert(peer);
-                } else {
-                    if !rep.others.iter().any(|&(c, _)| c == from) {
-                        return true;
-                    }
-                    if rep.phase2_fired {
-                        return false;
-                    }
-                    rep.clusters_heard.insert(from);
-                }
-                true
-            }
+            Message::Heartbeat { peer, from } => self.collect(peer, from, None),
             Message::Grant { src, dst, peer, .. } => {
                 if peer != self.peer {
                     return false;
@@ -469,13 +412,56 @@ impl PeerStateMachine {
             }
         }
     }
+
+    /// Files a phase-1 report (`from` is this cluster) or a phase-2
+    /// forward (`from` is another cluster), with the request it carries
+    /// (`None` for a heartbeat). Returns whether the frame was consumed,
+    /// as [`receive`](Self::receive) does.
+    fn collect(
+        &mut self,
+        peer: PeerId,
+        from: ClusterId,
+        request: Option<(RelocationRequest, u64)>,
+    ) -> bool {
+        let report = from == self.cluster;
+        let Role::Representative(rep) = &mut self.role else {
+            return false;
+        };
+        if report {
+            // A frame from outside the snapshot's member list (a
+            // mid-round joiner) is consumed regardless of phase state —
+            // it is not late, just early.
+            if rep.members.binary_search(&peer).is_err() {
+                return true;
+            }
+            if rep.phase1_fired {
+                return false;
+            }
+            // A duplicate is consumed without advancing.
+            if rep.reports_heard.insert(peer) {
+                rep.reports.extend(request);
+            }
+        } else {
+            // Same for a forward from a cluster the snapshot doesn't
+            // know, or one already heard.
+            if !rep.others.iter().any(|&(c, _)| c == from) {
+                return true;
+            }
+            if rep.phase2_fired {
+                return false;
+            }
+            if rep.clusters_heard.insert(from) {
+                rep.peer_requests.extend(request.map(|(req, _)| req));
+            }
+        }
+        true
+    }
 }
 
 impl RepState {
-    /// Phase 1: pick the cluster's best collected report with the sync
-    /// engine's exact walk (ascending peer order, gain window
-    /// `f64::EPSILON`, ties to the lower peer id) and forward it — or a
-    /// heartbeat — to every other representative.
+    /// Phase 1: pick the cluster's best collected report with the
+    /// shared [`select_request`] kernel (reports in ascending peer order)
+    /// and forward it — or a heartbeat — to every other representative.
     fn fire_phase1(
         &mut self,
         peer: PeerId,
@@ -487,20 +473,7 @@ impl RepState {
         self.phase1_fired = true;
         self.phase2_deadline = now + 1 + phase_ticks;
         self.reports.sort_by_key(|(r, _)| r.peer);
-        let mut best: Option<(RelocationRequest, u64)> = None;
-        for &candidate in &self.reports {
-            let replace = match &best {
-                None => true,
-                Some((b, _)) => {
-                    candidate.0.gain > b.gain + f64::EPSILON
-                        || ((candidate.0.gain - b.gain).abs() <= f64::EPSILON
-                            && candidate.0.peer < b.peer)
-                }
-            };
-            if replace {
-                best = Some(candidate);
-            }
-        }
+        let best = select_request(self.reports.iter().copied());
         self.own_request = best;
         match best {
             Some((req, commitment)) => {
@@ -530,65 +503,44 @@ impl RepState {
         }
     }
 
-    /// Phase 2: sort everything heard exactly like the sync engine and
-    /// run the lock-rule scan; grant or deny the *own* cluster's request
-    /// (every representative decides only for its own cluster, from
-    /// what its view of the request list locks first).
+    /// Phase 2: sort everything heard exactly like the sync engine, run
+    /// the shared [`grant_requests`] scan and act on the *own* cluster's
+    /// verdict only (every representative decides only for its own
+    /// cluster, from what its view of the request list locks first).
     fn fire_phase2(&mut self, peer: PeerId, cluster: ClusterId, out: &mut Outbox) {
         self.phase2_fired = true;
-        let mut all: Vec<RelocationRequest> = self.peer_requests.clone();
-        if let Some((own, _)) = self.own_request {
-            all.push(own);
-        }
-        RelocationRequest::sort_requests(&mut all);
-        if self.own_request.is_none() {
+        let Some((own, _)) = self.own_request else {
             // Nothing of ours in the scan — no decision to make.
             return;
-        }
-        let mut locks = LockSet::new();
-        for &req in &all {
-            let is_own = req.src == cluster;
-            if req.src == req.dst {
-                if is_own {
-                    self.deny(peer, req, DenyReason::SelfMove, out);
-                }
-                continue;
-            }
-            if !self.use_locks || locks.admissible(req.src, req.dst) {
-                locks.grant(req.src, req.dst);
-                if is_own {
-                    out.send(
-                        peer,
-                        req.peer,
-                        Message::Grant {
-                            src: req.src,
-                            dst: req.dst,
-                            peer: req.peer,
-                            gain: req.gain,
-                        },
-                        MsgKind::GrantCoordination,
-                    );
-                    out.event(MachineEvent::Granted(req));
-                }
-            } else if is_own {
-                self.deny(peer, req, DenyReason::Locked, out);
-            }
-        }
-    }
-
-    fn deny(&self, peer: PeerId, req: RelocationRequest, reason: DenyReason, out: &mut Outbox) {
-        out.send(
-            peer,
-            req.peer,
-            Message::Deny {
-                src: req.src,
-                dst: req.dst,
-                peer: req.peer,
-                reason,
-            },
-            MsgKind::GrantCoordination,
-        );
-        out.event(MachineEvent::Denied(req, reason));
+        };
+        let mut all: Vec<RelocationRequest> = self.peer_requests.clone();
+        all.push(own);
+        RelocationRequest::sort_requests(&mut all);
+        let (req, verdict) = grant_requests(&all, self.use_locks)
+            .find(|(req, _)| req.src == cluster)
+            .expect("the own request is in the scan");
+        let (msg, event) = match verdict {
+            Ok(()) => (
+                Message::Grant {
+                    src: req.src,
+                    dst: req.dst,
+                    peer: req.peer,
+                    gain: req.gain,
+                },
+                MachineEvent::Granted(req),
+            ),
+            Err(reason) => (
+                Message::Deny {
+                    src: req.src,
+                    dst: req.dst,
+                    peer: req.peer,
+                    reason,
+                },
+                MachineEvent::Denied(req, reason),
+            ),
+        };
+        out.send(peer, req.peer, msg, MsgKind::GrantCoordination);
+        out.event(event);
     }
 }
 

@@ -15,7 +15,6 @@
 //! auditor holding only the frames can prove a peer changed its story
 //! between proposal and commit.
 
-use recluster_overlay::MsgKind;
 use recluster_types::{ClusterId, PeerId};
 
 /// Why a representative denied its cluster's relocation request.
@@ -357,21 +356,6 @@ impl Message {
             Ok(msg)
         } else {
             Err(DecodeError::TrailingBytes)
-        }
-    }
-
-    /// The ledger category this frame is charged to. Reports and their
-    /// heartbeat stand-ins are gain reports; relayed proposals are
-    /// relocation requests (the caller picks between the two `Propose`
-    /// charges by context, see
-    /// [`Outbox::send`](super::machine::Outbox::send)).
-    pub fn default_kind(&self) -> MsgKind {
-        match self {
-            Message::Propose { .. } => MsgKind::GainReport,
-            Message::Heartbeat { .. } => MsgKind::Heartbeat,
-            Message::Grant { .. } | Message::Deny { .. } => MsgKind::GrantCoordination,
-            Message::Commit { .. } => MsgKind::ClusterJoin,
-            Message::SummaryUpdate { .. } => MsgKind::SummaryUpdate,
         }
     }
 }

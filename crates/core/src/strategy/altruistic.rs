@@ -30,7 +30,7 @@ use recluster_types::{ClusterId, PeerId};
 use crate::equilibrium::COST_EPS;
 use crate::strategy::{membership_increase, Proposal, RelocationStrategy};
 use crate::system::System;
-use crate::view::SystemView;
+use crate::view::{SystemRead, SystemView};
 
 /// The altruistic strategy.
 ///
@@ -114,39 +114,50 @@ impl RelocationStrategy for AltruisticStrategy {
         if self.totals[peer.index()] == 0.0 {
             return None; // the peer serves nobody; altruism is moot
         }
-        // The cluster with the maximum contribution (§3.1.2). Empty
-        // clusters have zero contribution and are therefore never
-        // selected, regardless of `allow_empty`.
-        let mut best: Option<(ClusterId, f64)> = None;
-        for cid in view.overlay().cluster_ids() {
-            if view.overlay().cluster(cid).is_empty() && !allow_empty {
-                continue;
-            }
-            let c = self.contribution(peer, cid);
-            let better = match best {
-                None => true,
-                Some((_, b)) => c > b + f64::EPSILON,
-            };
-            if better {
-                best = Some((cid, c));
-            }
+        altruistic_choice(view, peer, current, allow_empty, |cid| {
+            self.contribution(peer, cid)
+        })
+    }
+}
+
+/// The altruistic selection rule (§3.1.2) over any contribution source:
+/// the oracle passes Eq. 6, the observed strategy its served counts.
+/// Picks the cluster with the maximum `contribution(cid)` (a later
+/// cluster must beat the running best by more than `f64::EPSILON`) and
+/// proposes it when its `clgain` clears [`COST_EPS`]. `current` is the
+/// peer's cluster.
+pub(crate) fn altruistic_choice<S: SystemRead + ?Sized>(
+    view: &S,
+    peer: PeerId,
+    current: ClusterId,
+    allow_empty: bool,
+    contribution: impl Fn(ClusterId) -> f64,
+) -> Option<Proposal> {
+    // Empty clusters have zero contribution and are therefore never
+    // selected, regardless of `allow_empty`.
+    let mut best: Option<(ClusterId, f64)> = None;
+    for cid in view.overlay().cluster_ids() {
+        if view.overlay().cluster(cid).is_empty() && !allow_empty {
+            continue;
         }
-        let (cnew, contribution_new) = best?;
-        if cnew == current {
-            return None;
-        }
-        let clgain = contribution_new
-            - self.contribution(peer, current)
-            - membership_increase(view, peer, cnew);
-        if clgain > COST_EPS {
-            Some(Proposal {
-                to: cnew,
-                gain: clgain,
-            })
-        } else {
-            None
+        let c = contribution(cid);
+        let better = match best {
+            None => true,
+            Some((_, b)) => c > b + f64::EPSILON,
+        };
+        if better {
+            best = Some((cid, c));
         }
     }
+    let (cnew, contribution_new) = best?;
+    if cnew == current {
+        return None;
+    }
+    let clgain = contribution_new - contribution(current) - membership_increase(view, peer, cnew);
+    (clgain > COST_EPS).then_some(Proposal {
+        to: cnew,
+        gain: clgain,
+    })
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use crate::cost::{pcost, pcost_current};
 use crate::equilibrium::COST_EPS;
 use crate::strategy::{membership_increase, AltruisticStrategy, Proposal, RelocationStrategy};
 use crate::system::System;
-use crate::view::SystemView;
+use crate::view::{SystemRead, SystemView};
 
 /// The hybrid strategy with mixing weight `λ ∈ [0, 1]`.
 #[derive(Debug, Clone)]
@@ -63,31 +63,58 @@ impl RelocationStrategy for HybridStrategy {
 
     fn propose(&self, view: &SystemView<'_>, peer: PeerId, allow_empty: bool) -> Option<Proposal> {
         let current = view.overlay().cluster_of(peer)?;
-        let current_cost = pcost_current(view, peer);
-        let current_contribution = self.altruism.contribution(peer, current);
-        let mut best: Option<(ClusterId, f64)> = None;
-        for cid in view.overlay().cluster_ids() {
-            if cid == current {
-                continue;
-            }
-            if view.overlay().cluster(cid).is_empty() && !allow_empty {
-                continue;
-            }
-            let pgain = current_cost - pcost(view, peer, cid);
-            let clgain = self.altruism.contribution(peer, cid)
-                - current_contribution
-                - membership_increase(view, peer, cid);
-            let score = self.lambda * pgain + (1.0 - self.lambda) * clgain;
-            let better = match best {
-                None => score > COST_EPS,
-                Some((_, b)) => score > b + f64::EPSILON,
-            };
-            if better {
-                best = Some((cid, score));
-            }
-        }
-        best.map(|(to, gain)| Proposal { to, gain })
+        hybrid_choice(
+            view,
+            peer,
+            current,
+            allow_empty,
+            self.lambda,
+            pcost_current(view, peer),
+            |cid| pcost(view, peer, cid),
+            |cid| self.altruism.contribution(peer, cid),
+        )
     }
+}
+
+/// The hybrid selection rule over any cost and contribution source: the
+/// oracle passes `pcost` and Eq. 6, the observed strategy its estimates.
+/// Scores every admissible destination other than `current` as
+/// `λ·pgain + (1 − λ)·clgain`, where `pgain = current_cost − cost_of(c)`;
+/// the first score to clear [`COST_EPS`] seeds the pick and a later one
+/// must beat it by more than `f64::EPSILON`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn hybrid_choice<S: SystemRead + ?Sized>(
+    view: &S,
+    peer: PeerId,
+    current: ClusterId,
+    allow_empty: bool,
+    lambda: f64,
+    current_cost: f64,
+    cost_of: impl Fn(ClusterId) -> f64,
+    contribution: impl Fn(ClusterId) -> f64,
+) -> Option<Proposal> {
+    let current_contribution = contribution(current);
+    let mut best: Option<(ClusterId, f64)> = None;
+    for cid in view.overlay().cluster_ids() {
+        if cid == current {
+            continue;
+        }
+        if view.overlay().cluster(cid).is_empty() && !allow_empty {
+            continue;
+        }
+        let pgain = current_cost - cost_of(cid);
+        let clgain =
+            contribution(cid) - current_contribution - membership_increase(view, peer, cid);
+        let score = lambda * pgain + (1.0 - lambda) * clgain;
+        let better = match best {
+            None => score > COST_EPS,
+            Some((_, b)) => score > b + f64::EPSILON,
+        };
+        if better {
+            best = Some((cid, score));
+        }
+    }
+    best.map(|(to, gain)| Proposal { to, gain })
 }
 
 #[cfg(test)]

@@ -19,6 +19,10 @@ pub use hybrid::HybridStrategy;
 pub use observed::{DecisionSource, ObservedObjective, ObservedStrategy};
 pub use selfish::SelfishStrategy;
 
+use altruistic::altruistic_choice;
+use hybrid::hybrid_choice;
+use selfish::selfish_proposal;
+
 use recluster_types::{ClusterId, PeerId};
 
 use crate::system::System;

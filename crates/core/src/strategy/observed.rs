@@ -5,20 +5,23 @@
 //! peer never sees that; it only has the cid-annotated query results it
 //! gathered over the last period(s), folded into an
 //! [`ObservedStats`](crate::tracker::ObservedStats) accumulator. The
-//! [`ObservedStrategy`] adapter evaluates the same three objectives
-//! (selfish / altruistic / hybrid) over those estimates instead, using
-//! the *same candidate enumeration and tie-break rules* as the oracle
-//! strategies — so under flood (or exact-summary) routing with decay
-//! disabled the selfish variant reproduces the oracle `best_response`
-//! decision exactly (the `prop_observed` keystone), and under `lossy:<k>`
-//! routing its decisions degrade with the observation precision.
+//! [`ObservedStrategy`] evaluates the same three objectives (selfish /
+//! altruistic / hybrid) over those estimates instead, by running the
+//! *very scans* the oracle strategies run with estimate closures in place
+//! of the oracle costs and contributions — so under flood (or
+//! exact-summary) routing with decay disabled every variant reproduces
+//! its oracle decision exactly (the `prop_observed` keystone and
+//! `tests/observed_vs_oracle.rs`), and under `lossy:<k>` routing its
+//! decisions degrade with the observation precision.
 
 use std::fmt;
 
 use recluster_types::PeerId;
 
-use crate::equilibrium::COST_EPS;
-use crate::strategy::{membership_increase, Proposal, RelocationStrategy};
+use crate::equilibrium::best_response_with_chain;
+use crate::strategy::{
+    altruistic_choice, hybrid_choice, selfish_proposal, Proposal, RelocationStrategy,
+};
 use crate::tracker::ObservedStats;
 use crate::view::SystemView;
 
@@ -151,82 +154,33 @@ impl RelocationStrategy for ObservedStrategy<'_> {
             // decide on and stays put.
             return None;
         }
+        let cost_of = |cid| self.stats.estimated_pcost(view, peer, cid, Some(current));
+        let contribution = |cid| self.stats.estimated_contribution(peer, cid);
         match self.objective {
-            ObservedObjective::Selfish => {
-                let current_cost = self
-                    .stats
-                    .estimated_pcost(view, peer, current, Some(current));
-                let (to, cost) =
-                    self.stats
-                        .selfish_choice(view, peer, Some(current), allow_empty)?;
-                if to == current {
-                    return None;
-                }
-                let gain = current_cost - cost;
-                (gain > COST_EPS).then_some(Proposal { to, gain })
-            }
+            ObservedObjective::Selfish => selfish_proposal(best_response_with_chain(
+                view,
+                current,
+                cost_of(current),
+                allow_empty,
+                cost_of,
+                &mut Vec::new(),
+            )),
             ObservedObjective::Altruistic => {
                 if self.stats.served_total(peer) == 0.0 {
                     return None; // the peer serves nobody; altruism is moot
                 }
-                // Maximum observed contribution, mirroring the oracle
-                // altruistic scan (empty clusters contribute nothing and
-                // are skipped outright when forbidden).
-                let mut best = None;
-                for cid in view.overlay().cluster_ids() {
-                    if view.overlay().cluster(cid).is_empty() && !allow_empty {
-                        continue;
-                    }
-                    let c = self.stats.estimated_contribution(peer, cid);
-                    let better = match best {
-                        None => true,
-                        Some((_, b)) => c > b + f64::EPSILON,
-                    };
-                    if better {
-                        best = Some((cid, c));
-                    }
-                }
-                let (cnew, contribution_new) = best?;
-                if cnew == current {
-                    return None;
-                }
-                let clgain = contribution_new
-                    - self.stats.estimated_contribution(peer, current)
-                    - membership_increase(view, peer, cnew);
-                (clgain > COST_EPS).then_some(Proposal {
-                    to: cnew,
-                    gain: clgain,
-                })
+                altruistic_choice(view, peer, current, allow_empty, contribution)
             }
-            ObservedObjective::Hybrid(lambda) => {
-                let current_cost = self
-                    .stats
-                    .estimated_pcost(view, peer, current, Some(current));
-                let current_contribution = self.stats.estimated_contribution(peer, current);
-                let mut best = None;
-                for cid in view.overlay().cluster_ids() {
-                    if cid == current {
-                        continue;
-                    }
-                    if view.overlay().cluster(cid).is_empty() && !allow_empty {
-                        continue;
-                    }
-                    let pgain =
-                        current_cost - self.stats.estimated_pcost(view, peer, cid, Some(current));
-                    let clgain = self.stats.estimated_contribution(peer, cid)
-                        - current_contribution
-                        - membership_increase(view, peer, cid);
-                    let score = lambda * pgain + (1.0 - lambda) * clgain;
-                    let better = match best {
-                        None => score > COST_EPS,
-                        Some((_, b)) => score > b + f64::EPSILON,
-                    };
-                    if better {
-                        best = Some((cid, score));
-                    }
-                }
-                best.map(|(to, gain)| Proposal { to, gain })
-            }
+            ObservedObjective::Hybrid(lambda) => hybrid_choice(
+                view,
+                peer,
+                current,
+                allow_empty,
+                lambda,
+                cost_of(current),
+                cost_of,
+                contribution,
+            ),
         }
     }
 }
@@ -234,7 +188,7 @@ impl RelocationStrategy for ObservedStrategy<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recluster_overlay::{ContentStore, Overlay, SimNetwork, Theta};
+    use recluster_overlay::{ContentStore, Overlay, RoutingMode, SimNetwork, Theta};
     use recluster_types::{ClusterId, Document, Query, Sym, Workload};
 
     use crate::strategy::SelfishStrategy;
@@ -263,7 +217,7 @@ mod tests {
     fn observe(sys: &System, decay: f64) -> ObservedStats {
         let mut stats = ObservedStats::new(decay);
         let mut net = SimNetwork::new();
-        stats.absorb(&simulate_period(sys, &mut net));
+        stats.absorb(&simulate_period(sys, &mut net, RoutingMode::Flood).0);
         stats
     }
 

@@ -6,7 +6,7 @@
 
 use recluster_types::PeerId;
 
-use crate::equilibrium::{best_response, best_response_with_chain, COST_EPS};
+use crate::equilibrium::{best_response, best_response_traced, BestResponse, COST_EPS};
 use crate::strategy::{ChainInfo, Proposal, RelocationStrategy};
 use crate::view::SystemView;
 
@@ -14,21 +14,22 @@ use crate::view::SystemView;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SelfishStrategy;
 
+/// The selfish proposal of a best response: its destination and `pgain`
+/// when the gain clears [`COST_EPS`], nothing otherwise.
+pub(crate) fn selfish_proposal(br: BestResponse) -> Option<Proposal> {
+    (br.gain > COST_EPS).then_some(Proposal {
+        to: br.cluster,
+        gain: br.gain,
+    })
+}
+
 impl RelocationStrategy for SelfishStrategy {
     fn name(&self) -> &'static str {
         "selfish"
     }
 
     fn propose(&self, view: &SystemView<'_>, peer: PeerId, allow_empty: bool) -> Option<Proposal> {
-        let br = best_response(view, peer, allow_empty);
-        if br.gain > COST_EPS {
-            Some(Proposal {
-                to: br.cluster,
-                gain: br.gain,
-            })
-        } else {
-            None
-        }
+        selfish_proposal(best_response(view, peer, allow_empty))
     }
 
     /// The same scan with its take chain recorded, so the memo can keep
@@ -41,16 +42,11 @@ impl RelocationStrategy for SelfishStrategy {
         allow_empty: bool,
     ) -> (Option<Proposal>, ChainInfo) {
         let mut chain = Vec::new();
-        let br = best_response_with_chain(view, peer, allow_empty, &mut chain);
-        let proposal = if br.gain > COST_EPS {
-            Some(Proposal {
-                to: br.cluster,
-                gain: br.gain,
-            })
-        } else {
-            None
-        };
-        (proposal, ChainInfo::Known(chain.into_boxed_slice()))
+        let br = best_response_traced(view, peer, allow_empty, &mut chain);
+        (
+            selfish_proposal(br),
+            ChainInfo::Known(chain.into_boxed_slice()),
+        )
     }
 
     /// `best_response` reads exactly the quantities the change journal

@@ -629,7 +629,9 @@ mod tests {
         // The observed-statistics path walks every live peer's workload
         // slot: a fresh joiner must not leave the table short.
         let mut net = recluster_overlay::SimNetwork::new();
-        let obs = crate::tracker::simulate_period(&sys, &mut net);
+        let obs =
+            crate::tracker::simulate_period(&sys, &mut net, recluster_overlay::RoutingMode::Flood)
+                .0;
         assert!(obs.of(p).is_empty());
     }
 

@@ -9,7 +9,8 @@
 //! routes every peer's workload through the overlay and accumulates
 //! exactly those observations; under flood routing the derived estimates
 //! coincide with the oracle values computed from the [`RecallIndex`]
-//! (property-tested in `tests/`).
+//! (property-tested in `tests/`). [`simulate_period_traffic`] is the
+//! same walk reduced to its traffic accounting.
 //!
 //! # Examples
 //!
@@ -18,7 +19,7 @@
 //!
 //! ```
 //! use recluster_core::{simulate_period, GameConfig, System};
-//! use recluster_overlay::{ContentStore, Overlay, SimNetwork};
+//! use recluster_overlay::{ContentStore, Overlay, RoutingMode, SimNetwork};
 //! use recluster_types::{ClusterId, Document, PeerId, Query, Sym, Workload};
 //!
 //! let ov = Overlay::singletons(2);
@@ -29,7 +30,7 @@
 //! let sys = System::new(ov, store, vec![w, Workload::new()], GameConfig::default());
 //!
 //! let mut net = SimNetwork::new();
-//! let obs = simulate_period(&sys, &mut net);
+//! let (obs, _, _) = simulate_period(&sys, &mut net, RoutingMode::Flood);
 //! let record = &obs.of(PeerId(0))[0];
 //! assert_eq!(record.cluster_count(ClusterId(1)), 1);
 //! assert_eq!(record.total, 1);
@@ -47,42 +48,66 @@ use recluster_types::{ClusterId, PeerId, Query, Workload};
 use crate::recall::{QueryId, RecallIndex};
 
 use crate::costcache::CostCache;
-use crate::equilibrium::COST_EPS;
+use crate::equilibrium::best_response_with_chain;
 use crate::system::System;
 use crate::view::SystemRead;
 
+/// A result count the observation estimators read: the exact `u64`
+/// counts of one period, or the EMA-decayed `f64` counts
+/// [`ObservedStats`] folds them into.
+pub trait Count: Copy + Default {
+    /// The count as `f64`. Exact for `u64` counts below 2⁵³, which makes
+    /// the estimators bit-identical over a period and its literal fold.
+    fn to_f64(self) -> f64;
+}
+
+impl Count for u64 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Count for f64 {
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
 /// One peer's observations about one of its distinct queries.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueryObservation {
+pub struct QueryObservation<C = u64> {
     /// The query.
     pub query: Query,
-    /// Relative frequency of the query in the peer's workload.
+    /// Relative frequency of the query in the peer's workload (folded
+    /// records carry the *current* workload's frequency; only result
+    /// counts are decayed).
     pub weight: f64,
     /// Results received per answering cluster (cid annotations), sorted
     /// by cluster id with no duplicates — a compact sorted vector
     /// instead of a tree map, built from a reused dense buffer.
-    pub per_cluster: Vec<(ClusterId, u64)>,
+    pub per_cluster: Vec<(ClusterId, C)>,
     /// Total results received across all clusters.
-    pub total: u64,
+    pub total: C,
     /// Results the peer itself holds for the query (known locally).
-    pub own: u64,
+    pub own: C,
 }
 
-impl QueryObservation {
+impl<C: Count> QueryObservation<C> {
     /// Results received from cluster `cid` (zero when none).
-    pub fn cluster_count(&self, cid: ClusterId) -> u64 {
+    pub fn cluster_count(&self, cid: ClusterId) -> C {
         self.per_cluster
             .binary_search_by_key(&cid, |&(c, _)| c)
             .map(|i| self.per_cluster[i].1)
-            .unwrap_or(0)
+            .unwrap_or_default()
     }
 }
 
-/// Observations accumulated by all peers over one period `T`.
+/// Observations accumulated by all peers over one period `T` — exact
+/// counts by default, EMA-decayed `f64` counts inside [`ObservedStats`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct PeriodObservations {
+pub struct PeriodObservations<C = u64> {
     /// Per peer: one record per distinct query in its workload.
-    observations: Vec<Vec<QueryObservation>>,
+    observations: Vec<Vec<QueryObservation<C>>>,
     /// Per peer: demand-weighted results served to each requesting
     /// cluster's members (contribution numerators). Sparse — a peer
     /// serves few distinct clusters, and a dense peers × `Cmax` matrix
@@ -256,38 +281,22 @@ impl ForwardHistogram {
     }
 }
 
-/// Routes every live peer's workload through the overlay (flooding all
-/// clusters, as the paper's evaluation does) and collects the per-peer
-/// observations. Network traffic is charged per query *occurrence*.
-pub fn simulate_period(system: &System, net: &mut SimNetwork) -> PeriodObservations {
-    simulate_period_routed(system, net, RoutingMode::Flood).0
-}
-
-/// [`simulate_period`] under an explicit [`RoutingMode`].
-///
-/// Under [`RoutingMode::Flood`] every query visits every non-empty
-/// cluster. Under [`RoutingMode::Routed`] a [`RoutePlan`] built from the
-/// system's cluster summaries forwards each query only to clusters whose
-/// summary matches; with exact summaries the observations (and therefore
-/// every recall/contribution estimate derived from them) are
-/// **bit-identical** to flooding while the `QueryForward` traffic
-/// shrinks by the forward-reduction factor. With lossy summaries the
-/// returned [`RoutingReport`] quantifies the missed results.
-pub fn simulate_period_routed(
-    system: &System,
-    net: &mut SimNetwork,
-    mode: RoutingMode,
-) -> (PeriodObservations, RoutingReport) {
-    let (obs, report, _) = simulate_period_routed_full(system, net, mode);
-    (obs, report)
-}
-
-/// [`simulate_period_routed`], additionally returning the
+/// Routes every live peer's workload through the overlay under `mode`
+/// and collects the per-peer observations, the [`RoutingReport`] and the
 /// occurrence-weighted [`ForwardHistogram`] of per-query forward counts
 /// (one record per distinct live query, weighted by its total demand).
-/// The observations and report are bit-identical to the plain variant —
-/// the histogram only *observes* the forwards already charged.
-pub fn simulate_period_routed_full(
+/// Network traffic is charged per query *occurrence*.
+///
+/// Under [`RoutingMode::Flood`] every query visits every non-empty
+/// cluster, as the paper's evaluation does. Under
+/// [`RoutingMode::Routed`] a [`RoutePlan`] built from the system's
+/// cluster summaries forwards each query only to clusters whose summary
+/// matches; with exact summaries the observations (and therefore every
+/// recall/contribution estimate derived from them) are **bit-identical**
+/// to flooding while the `QueryForward` traffic shrinks by the
+/// forward-reduction factor. With lossy summaries the report quantifies
+/// the missed results.
+pub fn simulate_period(
     system: &System,
     net: &mut SimNetwork,
     mode: RoutingMode,
@@ -332,8 +341,8 @@ pub fn simulate_period_routed_full(
 }
 
 /// Traffic-only period: charges `net` and returns the [`RoutingReport`]
-/// and [`ForwardHistogram`] **bit-identical** to
-/// [`simulate_period_routed_full`] under the same state, while skipping
+/// and [`ForwardHistogram`] **bit-identical** to [`simulate_period`]
+/// under the same state, while skipping
 /// the per-peer observation fan-out and the served-credit accumulation
 /// entirely. This is what the churn driver's query-traffic measurement
 /// wants — at a million peers, materializing per-requester observation
@@ -608,33 +617,9 @@ fn run_period_core(
     // when collecting (the traffic-only variant reads the index's mass
     // cells instead) — so a small distinct-query set over a huge overlay
     // is exactly the case worth sharding.
-    let packets: Vec<Option<QueryPacket>> = if crate::shard::should_shard(n_slots) {
-        crate::shard::map_ranges(n_queries, |range| {
-            let mut bufs = EvalBufs::new(cmax);
-            range
-                .map(|qid| {
-                    eval_query(
-                        qid,
-                        overlay,
-                        store,
-                        workloads,
-                        index,
-                        cache,
-                        &non_empty,
-                        plan.as_ref(),
-                        lossy,
-                        collect,
-                        &mut bufs,
-                    )
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
+    let eval_range = |range: std::ops::Range<usize>| {
         let mut bufs = EvalBufs::new(cmax);
-        (0..n_queries)
+        range
             .map(|qid| {
                 eval_query(
                     qid,
@@ -650,7 +635,15 @@ fn run_period_core(
                     &mut bufs,
                 )
             })
+            .collect::<Vec<_>>()
+    };
+    let packets: Vec<Option<QueryPacket>> = if crate::shard::should_shard(n_slots) {
+        crate::shard::map_ranges(n_queries, eval_range)
+            .into_iter()
+            .flatten()
             .collect()
+    } else {
+        eval_range(0..n_queries)
     };
 
     let mut report = RoutingReport {
@@ -724,9 +717,9 @@ fn run_period_core(
     }
 }
 
-impl PeriodObservations {
-    /// The raw query observations of a peer.
-    pub fn of(&self, peer: PeerId) -> &[QueryObservation] {
+impl<C: Count> PeriodObservations<C> {
+    /// The query observations of a peer.
+    pub fn of(&self, peer: PeerId) -> &[QueryObservation<C>] {
         &self.observations[peer.index()]
     }
 
@@ -753,14 +746,15 @@ impl PeriodObservations {
         let membership = cfg.alpha * cfg.theta.membership(size, self.n_peers);
         let mut loss = 0.0;
         for obs in &self.observations[peer.index()] {
-            if obs.total == 0 {
+            let total = obs.total.to_f64();
+            if total == 0.0 {
                 continue;
             }
-            let mut inside = obs.cluster_count(cid);
+            let mut inside = obs.cluster_count(cid).to_f64();
             if !in_cluster {
-                inside += obs.own;
+                inside += obs.own.to_f64();
             }
-            let frac = (inside as f64 / obs.total as f64).min(1.0);
+            let frac = (inside / total).min(1.0);
             loss += obs.weight * (1.0 - frac);
         }
         membership + loss
@@ -776,17 +770,15 @@ impl PeriodObservations {
         }
     }
 
-    /// The cluster minimizing the estimated `pcost` for `peer` — the
-    /// selfish selection rule (Eq. 5) evaluated on observations.
+    /// The cluster minimizing the estimated `pcost` for `peer`, with its
+    /// estimated cost — the selfish selection rule (Eq. 5) evaluated on
+    /// observations.
     ///
-    /// Scans exactly the candidate set of the oracle
-    /// [`best_response`](crate::equilibrium::best_response) — non-empty
-    /// clusters in ascending id order, with the *first* empty slot
-    /// interleaved at its id position when `allow_empty` — and applies
-    /// the same [`COST_EPS`] stay-on-tie rule, so observed and oracle
-    /// selection can only diverge when the cost *estimates* diverge,
-    /// never on candidate enumeration or tie handling. Returns `None`
-    /// only when there are no candidate clusters at all.
+    /// Runs the oracle's own scan,
+    /// [`best_response_with_chain`], over the estimated costs: the same
+    /// candidate set and the same stay-on-tie rule, so observed and
+    /// oracle selection can only diverge when the cost *estimates*
+    /// diverge. `None` for an unassigned peer (`currently_in = None`).
     pub fn selfish_choice<S: SystemRead + ?Sized>(
         &self,
         system: &S,
@@ -794,56 +786,18 @@ impl PeriodObservations {
         currently_in: Option<ClusterId>,
         allow_empty: bool,
     ) -> Option<(ClusterId, f64)> {
-        selfish_scan(system, currently_in, allow_empty, |cid| {
-            self.estimated_pcost(system, peer, cid, currently_in)
-        })
+        let current = currently_in?;
+        let cost_of = |cid| self.estimated_pcost(system, peer, cid, currently_in);
+        let br = best_response_with_chain(
+            system,
+            current,
+            cost_of(current),
+            allow_empty,
+            cost_of,
+            &mut Vec::new(),
+        );
+        Some((br.cluster, cost_of(br.cluster)))
     }
-}
-
-/// The shared candidate walk behind observed selfish selection: mirrors
-/// the oracle `best_response` enumeration (non-empty ids ascending, the
-/// first empty slot interleaved at its id position when `allow_empty`)
-/// and its `COST_EPS` stay-on-tie rule, over an arbitrary estimated-cost
-/// function. The incumbent cluster seeds the scan so ties always resolve
-/// toward staying, exactly as the oracle resolves them.
-fn selfish_scan<S: SystemRead + ?Sized>(
-    system: &S,
-    currently_in: Option<ClusterId>,
-    allow_empty: bool,
-    cost_of: impl Fn(ClusterId) -> f64,
-) -> Option<(ClusterId, f64)> {
-    let mut best: Option<(ClusterId, f64)> = currently_in.map(|cur| (cur, cost_of(cur)));
-    let consider = |cid: ClusterId, best: &mut Option<(ClusterId, f64)>| {
-        if currently_in == Some(cid) {
-            return; // already seeded as the incumbent
-        }
-        let cost = cost_of(cid);
-        let better = match *best {
-            None => true,
-            Some((_, b)) => cost < b - COST_EPS,
-        };
-        if better {
-            *best = Some((cid, cost));
-        }
-    };
-    let mut pending_empty = if allow_empty {
-        system.overlay().first_empty_cluster()
-    } else {
-        None
-    };
-    for &cid in system.overlay().non_empty_ids() {
-        if let Some(empty) = pending_empty {
-            if empty < cid {
-                consider(empty, &mut best);
-                pending_empty = None;
-            }
-        }
-        consider(cid, &mut best);
-    }
-    if let Some(empty) = pending_empty {
-        consider(empty, &mut best);
-    }
-    best
 }
 
 /// Multi-period accumulator over [`PeriodObservations`] with exponential
@@ -862,41 +816,11 @@ fn selfish_scan<S: SystemRead + ?Sized>(
 pub struct ObservedStats {
     decay: f64,
     periods: usize,
-    folded: Option<FoldedObservations>,
-}
-
-/// The decayed counterpart of [`PeriodObservations`]: identical layout
-/// and iteration order, with `f64` counts so fractional decayed values
-/// are representable. Integer counts below 2⁵³ convert exactly, so the
-/// `decay = 0` snapshot loses nothing.
-#[derive(Debug, Clone, PartialEq)]
-struct FoldedObservations {
-    observations: Vec<Vec<FoldedQuery>>,
-    served: Vec<BTreeMap<ClusterId, f64>>,
-    served_total: Vec<f64>,
-    sizes: Vec<usize>,
-    n_peers: usize,
-}
-
-/// One peer's decayed observation record for one distinct query.
-#[derive(Debug, Clone, PartialEq)]
-struct FoldedQuery {
-    query: Query,
-    /// Relative frequency in the peer's *current* workload (frequencies
-    /// describe the present workload; only result counts are decayed).
-    weight: f64,
-    per_cluster: Vec<(ClusterId, f64)>,
-    total: f64,
-    own: f64,
-}
-
-impl FoldedQuery {
-    fn cluster_count(&self, cid: ClusterId) -> f64 {
-        self.per_cluster
-            .binary_search_by_key(&cid, |&(c, _)| c)
-            .map(|i| self.per_cluster[i].1)
-            .unwrap_or(0.0)
-    }
+    /// The decayed observations: the layout and iteration order of a
+    /// period, with `f64` counts so fractional decayed values are
+    /// representable. Integer counts below 2⁵³ convert exactly, so the
+    /// `decay = 0` snapshot loses nothing.
+    folded: Option<PeriodObservations<f64>>,
 }
 
 impl ObservedStats {
@@ -946,7 +870,7 @@ impl ObservedStats {
     pub fn absorb(&mut self, period: &PeriodObservations) {
         self.periods += 1;
         if self.decay == 0.0 || self.folded.is_none() {
-            self.folded = Some(FoldedObservations::snapshot(period));
+            self.folded = Some(snapshot(period));
             return;
         }
         let old = self.folded.as_ref().expect("checked above");
@@ -956,24 +880,12 @@ impl ObservedStats {
         let mut observations = Vec::with_capacity(n);
         for (slot, records) in period.observations.iter().enumerate() {
             let previous = old.observations.get(slot).map(Vec::as_slice).unwrap_or(&[]);
-            let by_query: BTreeMap<&Query, &FoldedQuery> =
+            let by_query: BTreeMap<&Query, &QueryObservation<f64>> =
                 previous.iter().map(|f| (&f.query, f)).collect();
             let mut folded = Vec::with_capacity(records.len());
             for obs in records {
-                folded.push(match by_query.get(&obs.query) {
-                    Some(prev) => fold_query(prev, obs, lambda, keep),
-                    None => FoldedQuery {
-                        query: obs.query.clone(),
-                        weight: obs.weight,
-                        per_cluster: obs
-                            .per_cluster
-                            .iter()
-                            .map(|&(c, v)| (c, keep * v as f64))
-                            .collect(),
-                        total: keep * obs.total as f64,
-                        own: keep * obs.own as f64,
-                    },
-                });
+                let prev = by_query.get(&obs.query).copied();
+                folded.push(fold_query(prev, obs, lambda, keep));
             }
             observations.push(folded);
         }
@@ -993,7 +905,7 @@ impl ObservedStats {
             let prev_total = old.served_total.get(slot).copied().unwrap_or(0.0);
             served_total.push(lambda * prev_total + keep * period.served_total[slot]);
         }
-        self.folded = Some(FoldedObservations {
+        self.folded = Some(PeriodObservations {
             observations,
             served,
             served_total,
@@ -1002,8 +914,9 @@ impl ObservedStats {
         });
     }
 
-    /// The decayed estimate of `pcost(p, cid)` — same arithmetic as
-    /// [`PeriodObservations::estimated_pcost`], over decayed counts.
+    /// The decayed estimate of `pcost(p, cid)` — the
+    /// [`PeriodObservations::estimated_pcost`] estimator over decayed
+    /// counts.
     ///
     /// # Panics
     /// Panics if no period has been absorbed.
@@ -1014,27 +927,10 @@ impl ObservedStats {
         cid: ClusterId,
         currently_in: Option<ClusterId>,
     ) -> f64 {
-        let folded = self
-            .folded
+        self.folded
             .as_ref()
-            .expect("estimated_pcost before any absorbed period");
-        let cfg = system.config();
-        let in_cluster = currently_in == Some(cid);
-        let size = folded.sizes.get(cid.index()).copied().unwrap_or(0) + usize::from(!in_cluster);
-        let membership = cfg.alpha * cfg.theta.membership(size, folded.n_peers);
-        let mut loss = 0.0;
-        for obs in &folded.observations[peer.index()] {
-            if obs.total == 0.0 {
-                continue;
-            }
-            let mut inside = obs.cluster_count(cid);
-            if !in_cluster {
-                inside += obs.own;
-            }
-            let frac = (inside / obs.total).min(1.0);
-            loss += obs.weight * (1.0 - frac);
-        }
-        membership + loss
+            .expect("estimated_pcost before any absorbed period")
+            .estimated_pcost(system, peer, cid, currently_in)
     }
 
     /// Whether `peer` has an observation slot — false before any period
@@ -1058,23 +954,12 @@ impl ObservedStats {
     /// The decayed observed `contribution(p, cid)` (Eq. 6); zero before
     /// any period is absorbed or when the peer served nothing.
     pub fn estimated_contribution(&self, peer: PeerId, cid: ClusterId) -> f64 {
-        let Some(folded) = self.folded.as_ref() else {
-            return 0.0;
-        };
-        let total = folded.served_total[peer.index()];
-        if total == 0.0 {
-            0.0
-        } else {
-            folded.served[peer.index()]
-                .get(&cid)
-                .copied()
-                .unwrap_or(0.0)
-                / total
-        }
+        self.folded
+            .as_ref()
+            .map_or(0.0, |f| f.estimated_contribution(peer, cid))
     }
 
-    /// The selfish selection rule over the decayed estimates — same
-    /// candidate set and tie-break as the oracle `best_response` (see
+    /// The selfish selection rule over the decayed estimates (see
     /// [`PeriodObservations::selfish_choice`]). `None` before any period
     /// is absorbed.
     pub fn selfish_choice<S: SystemRead + ?Sized>(
@@ -1084,65 +969,68 @@ impl ObservedStats {
         currently_in: Option<ClusterId>,
         allow_empty: bool,
     ) -> Option<(ClusterId, f64)> {
-        self.folded.as_ref()?;
-        selfish_scan(system, currently_in, allow_empty, |cid| {
-            self.estimated_pcost(system, peer, cid, currently_in)
-        })
+        self.folded
+            .as_ref()?
+            .selfish_choice(system, peer, currently_in, allow_empty)
     }
 }
 
-impl FoldedObservations {
-    /// A literal (lossless) copy of one period: `u64` counts convert to
-    /// `f64` exactly for any realistic result volume (< 2⁵³).
-    fn snapshot(period: &PeriodObservations) -> Self {
-        FoldedObservations {
-            observations: period
-                .observations
-                .iter()
-                .map(|records| {
-                    records
-                        .iter()
-                        .map(|obs| FoldedQuery {
-                            query: obs.query.clone(),
-                            weight: obs.weight,
-                            per_cluster: obs
-                                .per_cluster
-                                .iter()
-                                .map(|&(c, v)| (c, v as f64))
-                                .collect(),
-                            total: obs.total as f64,
-                            own: obs.own as f64,
-                        })
-                        .collect()
-                })
-                .collect(),
-            served: period.served.clone(),
-            served_total: period.served_total.clone(),
-            sizes: period.sizes.clone(),
-            n_peers: period.n_peers,
-        }
+/// A literal (lossless) copy of one period: `u64` counts convert to
+/// `f64` exactly for any realistic result volume (< 2⁵³).
+fn snapshot(period: &PeriodObservations) -> PeriodObservations<f64> {
+    PeriodObservations {
+        observations: period
+            .observations
+            .iter()
+            .map(|records| {
+                records
+                    .iter()
+                    .map(|obs| QueryObservation {
+                        query: obs.query.clone(),
+                        weight: obs.weight,
+                        per_cluster: obs
+                            .per_cluster
+                            .iter()
+                            .map(|&(c, v)| (c, v as f64))
+                            .collect(),
+                        total: obs.total as f64,
+                        own: obs.own as f64,
+                    })
+                    .collect()
+            })
+            .collect(),
+        served: period.served.clone(),
+        served_total: period.served_total.clone(),
+        sizes: period.sizes.clone(),
+        n_peers: period.n_peers,
     }
 }
 
-/// EMA-folds one query's new observation into its decayed history:
+/// EMA-folds one query's new observation into its decayed history
+/// (`None`: a brand-new query, whose history is an implicit zero):
 /// every count becomes `lambda · old + keep · new` over the union of
 /// answering clusters; the weight snaps to the current workload
 /// frequency.
-fn fold_query(prev: &FoldedQuery, obs: &QueryObservation, lambda: f64, keep: f64) -> FoldedQuery {
+fn fold_query(
+    prev: Option<&QueryObservation<f64>>,
+    obs: &QueryObservation,
+    lambda: f64,
+    keep: f64,
+) -> QueryObservation<f64> {
     let mut per_cluster: BTreeMap<ClusterId, f64> = prev
-        .per_cluster
+        .map_or(&[][..], |p| &p.per_cluster)
         .iter()
         .map(|&(c, v)| (c, lambda * v))
         .collect();
     for &(c, v) in &obs.per_cluster {
         *per_cluster.entry(c).or_insert(0.0) += keep * v as f64;
     }
-    FoldedQuery {
+    QueryObservation {
         query: obs.query.clone(),
         weight: obs.weight,
         per_cluster: per_cluster.into_iter().collect(),
-        total: lambda * prev.total + keep * obs.total as f64,
-        own: lambda * prev.own + keep * obs.own as f64,
+        total: lambda * prev.map_or(0.0, |p| p.total) + keep * obs.total as f64,
+        own: lambda * prev.map_or(0.0, |p| p.own) + keep * obs.own as f64,
     }
 }
 
@@ -1153,6 +1041,7 @@ mod tests {
     use recluster_types::{Document, Sym, Workload};
 
     use crate::cost::pcost;
+    use crate::equilibrium::COST_EPS;
     use crate::system::GameConfig;
 
     /// 3 peers: p0 queries Sym(1) (held by p1 ×2, p2 ×1) and Sym(2)
@@ -1183,7 +1072,7 @@ mod tests {
     fn observed_pcost_matches_oracle_under_flood() {
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let obs = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         let current = sys.overlay().cluster_of(PeerId(0));
         for cid in sys.overlay().cluster_ids() {
             let est = obs.estimated_pcost(&sys, PeerId(0), cid, current);
@@ -1199,7 +1088,7 @@ mod tests {
     fn observed_contribution_matches_oracle() {
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let obs = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         let mut strategy = crate::strategy::AltruisticStrategy::new();
         use crate::strategy::RelocationStrategy;
         strategy.prepare(&sys);
@@ -1219,7 +1108,7 @@ mod tests {
     fn selfish_choice_agrees_with_best_response() {
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let obs = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         for peer in [PeerId(0), PeerId(1), PeerId(2)] {
             let current = sys.overlay().cluster_of(peer);
             for allow_empty in [true, false] {
@@ -1243,7 +1132,7 @@ mod tests {
         // only ever considers the *first* empty slot.
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let obs = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         let current = sys.overlay().cluster_of(PeerId(2));
         let (choice, _) = obs.selfish_choice(&sys, PeerId(2), current, false).unwrap();
         assert!(!sys.overlay().cluster(choice).is_empty());
@@ -1263,11 +1152,11 @@ mod tests {
         // Two absorbed periods with different overlays: the accumulator
         // must equal the *latest* period exactly, bit for bit.
         let mut net = SimNetwork::new();
-        let stale = simulate_period(&sys, &mut net);
+        let stale = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         stats.absorb(&stale);
         let mut sys2 = fixture();
         sys2.move_peer(PeerId(2), ClusterId(1));
-        let fresh = simulate_period(&sys2, &mut net);
+        let fresh = simulate_period(&sys2, &mut net, RoutingMode::Flood).0;
         stats.absorb(&fresh);
         assert_eq!(stats.periods_absorbed(), 2);
         for peer in [PeerId(0), PeerId(1), PeerId(2)] {
@@ -1299,7 +1188,7 @@ mod tests {
     fn observed_stats_decay_folds_counts_as_ema() {
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let period = simulate_period(&sys, &mut net);
+        let period = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         let mut stats = ObservedStats::new(0.5);
         stats.absorb(&period); // first period: literal snapshot
         stats.absorb(&period); // identical second period
@@ -1319,7 +1208,7 @@ mod tests {
         // strictly between the two per-period observations.
         let mut sys2 = fixture();
         sys2.move_peer(PeerId(2), ClusterId(0));
-        let shifted = simulate_period(&sys2, &mut net);
+        let shifted = simulate_period(&sys2, &mut net, RoutingMode::Flood).0;
         stats.absorb(&shifted);
         let folded = &stats.folded.as_ref().unwrap().observations[0];
         let q1 = folded
@@ -1354,7 +1243,7 @@ mod tests {
     fn observations_record_cid_annotations() {
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let obs = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         let q1 = obs
             .of(PeerId(0))
             .iter()
@@ -1372,7 +1261,7 @@ mod tests {
     fn observation_counts_match_distinct_workload_queries() {
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let obs = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         // One observation per *distinct* query in each peer's workload,
         // regardless of occurrence counts — the buffer-reuse refactor
         // must not drop, duplicate, or reorder records.
@@ -1394,14 +1283,14 @@ mod tests {
         // accounting.
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let _ = simulate_period(&sys, &mut net);
+        let _ = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         let mut single = SimNetwork::new();
         let mut w = Workload::new();
         w.add(Query::keyword(Sym(1)), 1);
         w.add(Query::keyword(Sym(2)), 1);
         let mut sys1 = fixture();
         sys1.set_workload(PeerId(0), w);
-        let _ = simulate_period(&sys1, &mut single);
+        let _ = simulate_period(&sys1, &mut single, RoutingMode::Flood).0;
         assert!(net.total_messages() > single.total_messages());
     }
 
@@ -1409,7 +1298,7 @@ mod tests {
     fn period_charges_query_traffic() {
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let _ = simulate_period(&sys, &mut net);
+        let _ = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         assert!(net.total_messages() > 0);
     }
 
@@ -1417,9 +1306,9 @@ mod tests {
     fn routed_exact_equals_flood_bit_for_bit() {
         let sys = fixture();
         let mut flood_net = SimNetwork::new();
-        let flood = simulate_period(&sys, &mut flood_net);
+        let flood = simulate_period(&sys, &mut flood_net, RoutingMode::Flood).0;
         let mut routed_net = SimNetwork::new();
-        let (routed, report) = simulate_period_routed(
+        let (routed, report, _) = simulate_period(
             &sys,
             &mut routed_net,
             RoutingMode::Routed(SummaryMode::Exact),
@@ -1449,8 +1338,8 @@ mod tests {
         // from the report instead of re-deriving here.
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let (_, report) =
-            simulate_period_routed(&sys, &mut net, RoutingMode::Routed(SummaryMode::Exact));
+        let (_, report, _) =
+            simulate_period(&sys, &mut net, RoutingMode::Routed(SummaryMode::Exact));
         // kw(1): clusters c0 (p1's docs) and c2 (p2's doc) hold Sym(1);
         // ×2 occurrences → 4. kw(2): only c0 (p0's own doc) → 1.
         assert_eq!(report.forwards, 5);
@@ -1468,21 +1357,21 @@ mod tests {
         // per occurrence.
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let (obs, report) =
-            simulate_period_routed(&sys, &mut net, RoutingMode::Routed(SummaryMode::TopK(1)));
+        let (obs, report, _) =
+            simulate_period(&sys, &mut net, RoutingMode::Routed(SummaryMode::TopK(1)));
         assert!(report.missed_results > 0, "TopK(1) must lose something");
         assert!(report.false_negative_rate() > 0.0);
         assert!(report.false_negative_rate() < 1.0);
         // Observed + missed = what flood returns.
         let mut flood_net = SimNetwork::new();
-        let (_, flood_report) = simulate_period_routed(&sys, &mut flood_net, RoutingMode::Flood);
+        let (_, flood_report, _) = simulate_period(&sys, &mut flood_net, RoutingMode::Flood);
         assert_eq!(
             report.returned_results + report.missed_results,
             flood_report.returned_results
         );
         // Routed observations never contain results flood lacks.
         for p in [PeerId(0), PeerId(1), PeerId(2)] {
-            let flood_obs = simulate_period(&sys, &mut SimNetwork::new());
+            let flood_obs = simulate_period(&sys, &mut SimNetwork::new(), RoutingMode::Flood).0;
             for (r, f) in obs.of(p).iter().zip(flood_obs.of(p)) {
                 assert!(r.total <= f.total);
             }
@@ -1493,7 +1382,7 @@ mod tests {
     fn flood_report_is_self_consistent() {
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let (_, report) = simulate_period_routed(&sys, &mut net, RoutingMode::Flood);
+        let (_, report, _) = simulate_period(&sys, &mut net, RoutingMode::Flood);
         assert_eq!(report.mode, RoutingMode::Flood);
         assert_eq!(report.forwards, report.flood_forwards);
         assert_eq!(report.missed_results, 0);
@@ -1522,7 +1411,7 @@ mod tests {
     fn idle_peers_have_no_observations() {
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let obs = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         assert!(obs.of(PeerId(2)).is_empty());
         // …but p2 still *served* p0's queries.
         assert!(obs.estimated_contribution(PeerId(2), ClusterId(0)) > 0.0);
@@ -1576,7 +1465,7 @@ mod tests {
             RoutingMode::Routed(SummaryMode::TopK(1)),
         ] {
             let mut net_full = SimNetwork::new();
-            let (_, rep_full, hist_full) = simulate_period_routed_full(&sys, &mut net_full, mode);
+            let (_, rep_full, hist_full) = simulate_period(&sys, &mut net_full, mode);
             let mut net_traffic = SimNetwork::new();
             let (rep_traffic, hist_traffic) = simulate_period_traffic(&sys, &mut net_traffic, mode);
             assert_eq!(rep_full, rep_traffic, "{mode:?}");
@@ -1608,7 +1497,7 @@ mod tests {
         let mode = RoutingMode::Routed(SummaryMode::TopK(1)); // exercises `missed` too
         crate::shard::set_shard_min_override(Some(usize::MAX));
         let mut net_seq = SimNetwork::new();
-        let (obs_seq, rep_seq, hist_seq) = simulate_period_routed_full(&sys, &mut net_seq, mode);
+        let (obs_seq, rep_seq, hist_seq) = simulate_period(&sys, &mut net_seq, mode);
         crate::shard::set_shard_min_override(Some(1));
         for threads in [1usize, 2, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -1617,7 +1506,7 @@ mod tests {
                 .unwrap();
             let mut net_par = SimNetwork::new();
             let (obs_par, rep_par, hist_par) =
-                pool.install(|| simulate_period_routed_full(&sys, &mut net_par, mode));
+                pool.install(|| simulate_period(&sys, &mut net_par, mode));
             assert_eq!(obs_seq, obs_par, "{threads} threads");
             assert_eq!(rep_seq, rep_par, "{threads} threads");
             assert_eq!(hist_seq, hist_par, "{threads} threads");
@@ -1632,9 +1521,9 @@ mod tests {
         let sys = fixture();
         let mode = RoutingMode::Routed(SummaryMode::Exact);
         let mut net_a = SimNetwork::new();
-        let (obs_a, rep_a) = simulate_period_routed(&sys, &mut net_a, mode);
+        let (obs_a, rep_a, _) = simulate_period(&sys, &mut net_a, mode);
         let mut net_b = SimNetwork::new();
-        let (obs_b, rep_b, hist) = simulate_period_routed_full(&sys, &mut net_b, mode);
+        let (obs_b, rep_b, hist) = simulate_period(&sys, &mut net_b, mode);
         assert_eq!(obs_a, obs_b);
         assert_eq!(rep_a, rep_b);
         assert_eq!(net_a.total_messages(), net_b.total_messages());

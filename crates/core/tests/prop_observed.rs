@@ -30,7 +30,7 @@ use recluster_core::{
     best_response, pcost, simulate_period, ObservedStats, ObservedStrategy, RelocationStrategy,
     SelfishStrategy,
 };
-use recluster_overlay::SimNetwork;
+use recluster_overlay::{RoutingMode, SimNetwork};
 use recluster_types::PeerId;
 
 /// Applies `ops` while keeping the oracle premise intact: every
@@ -69,12 +69,12 @@ proptest! {
 
         // A stale period absorbed *before* the mutations: decay 0 must
         // forget it entirely at the next absorb.
-        stats.absorb(&simulate_period(&sys, &mut net));
+        stats.absorb(&simulate_period(&sys, &mut net, RoutingMode::Flood).0);
 
         for op in ops {
             apply(&mut sys, &mut net, op);
         }
-        let period = simulate_period(&sys, &mut net);
+        let period = simulate_period(&sys, &mut net, RoutingMode::Flood).0;
         stats.absorb(&period);
         prop_assert_eq!(stats.periods_absorbed(), 2);
 
@@ -112,7 +112,7 @@ proptest! {
         let mut net = SimNetwork::new();
         apply_assigned_only(&mut sys, &mut net, ops);
         let mut stats = ObservedStats::new(0.0);
-        stats.absorb(&simulate_period(&sys, &mut net));
+        stats.absorb(&simulate_period(&sys, &mut net, RoutingMode::Flood).0);
 
         let peers: Vec<_> = sys.overlay().peers().collect();
         for peer in peers {
@@ -148,7 +148,7 @@ proptest! {
         let mut net = SimNetwork::new();
         apply_assigned_only(&mut sys, &mut net, ops);
         let mut stats = ObservedStats::new(0.0);
-        stats.absorb(&simulate_period(&sys, &mut net));
+        stats.absorb(&simulate_period(&sys, &mut net, RoutingMode::Flood).0);
 
         let observed = ObservedStrategy::selfish(&stats);
         let oracle = SelfishStrategy;

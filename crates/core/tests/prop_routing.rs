@@ -15,7 +15,7 @@
 //! must be accounted: `returned + missed == flood-returned`.
 
 use proptest::prelude::*;
-use recluster_core::{simulate_period, simulate_period_routed, GameConfig, System};
+use recluster_core::{simulate_period, GameConfig, System};
 use recluster_overlay::{
     ChurnEvent, ClusterSummaries, ContentStore, MsgKind, Overlay, RoutingMode, SimNetwork,
     SummaryMode, Theta,
@@ -185,9 +185,9 @@ proptest! {
         }
 
         let mut flood_net = SimNetwork::new();
-        let flood = simulate_period(&sys, &mut flood_net);
+        let flood = simulate_period(&sys, &mut flood_net, RoutingMode::Flood).0;
         let mut routed_net = SimNetwork::new();
-        let (routed, report) = simulate_period_routed(
+        let (routed, report, _) = simulate_period(
             &sys,
             &mut routed_net,
             RoutingMode::Routed(SummaryMode::Exact),
@@ -230,7 +230,7 @@ proptest! {
 
         // Two routed runs are themselves byte-identical (determinism).
         let mut again_net = SimNetwork::new();
-        let (again, again_report) = simulate_period_routed(
+        let (again, again_report, _) = simulate_period(
             &sys,
             &mut again_net,
             RoutingMode::Routed(SummaryMode::Exact),
@@ -257,10 +257,10 @@ proptest! {
         }
 
         let mut flood_net = SimNetwork::new();
-        let (flood, flood_report) =
-            simulate_period_routed(&sys, &mut flood_net, RoutingMode::Flood);
+        let (flood, flood_report, _) =
+            simulate_period(&sys, &mut flood_net, RoutingMode::Flood);
         let mut lossy_net = SimNetwork::new();
-        let (lossy, report) = simulate_period_routed(
+        let (lossy, report, _) = simulate_period(
             &sys,
             &mut lossy_net,
             RoutingMode::Routed(SummaryMode::TopK(k)),

@@ -27,7 +27,7 @@ use common::{apply, arb_ops, arb_seed_syms, fixture};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 use recluster_core::shard::set_shard_min_override;
-use recluster_core::{simulate_period_routed_full, simulate_period_traffic, System};
+use recluster_core::{simulate_period, simulate_period_traffic, System};
 use recluster_overlay::{MsgKind, RoutingMode, SimNetwork, SummaryMode};
 use recluster_types::PeerId;
 
@@ -91,7 +91,7 @@ proptest! {
         let seq_cols = flush_columns(&seq);
         let mut seq_net = SimNetwork::new();
         let (seq_obs, seq_rep, seq_hist) =
-            simulate_period_routed_full(&seq, &mut seq_net, mode);
+            simulate_period(&seq, &mut seq_net, mode);
 
         // The sharded wholesale rebuild agrees with the sequential
         // flush too (rebuild is the flush's oracle).
@@ -111,7 +111,7 @@ proptest! {
             let mut par_net = SimNetwork::new();
             let (par_cols, par_obs, par_rep, par_hist) = pool.install(|| {
                 let cols = flush_columns(&sys);
-                let (obs, rep, hist) = simulate_period_routed_full(&sys, &mut par_net, mode);
+                let (obs, rep, hist) = simulate_period(&sys, &mut par_net, mode);
                 (cols, obs, rep, hist)
             });
             prop_assert_eq!(&seq_cols, &par_cols, "flush columns, {} threads", threads);
@@ -147,7 +147,7 @@ proptest! {
                 set_shard_min_override(Some(usize::MAX));
                 let mut full_net = SimNetwork::new();
                 let (_, full_rep, full_hist) =
-                    simulate_period_routed_full(&sys, &mut full_net, mode);
+                    simulate_period(&sys, &mut full_net, mode);
                 for shard_min in [usize::MAX, 1] {
                     set_shard_min_override(Some(shard_min));
                     for threads in [1usize, 2, 8] {

@@ -40,7 +40,7 @@
 
 use rand::Rng;
 use recluster_core::{
-    simulate_period_routed, DecisionSource, EmptyTargetPolicy, ObservedStats, ProtocolConfig,
+    simulate_period, DecisionSource, EmptyTargetPolicy, ObservedStats, ProtocolConfig,
 };
 use recluster_corpus::{QueryBias, QuerySampler, WorkloadBuilder};
 use recluster_overlay::churn::{random_leave, ChurnDelta, ChurnEvent};
@@ -319,8 +319,8 @@ pub fn run_churn_with_fidelity(
             // the strategies get to see — then repair acts on the
             // folded estimates.
             let mut query_net = SimNetwork::new();
-            let (observations, routing) =
-                simulate_period_routed(&testbed.system, &mut query_net, churn.routing);
+            let (observations, routing, _) =
+                simulate_period(&testbed.system, &mut query_net, churn.routing);
             stats.absorb(&observations);
             if let Some(kind) = churn.maintenance {
                 let agreement_rate = decision_agreement(&mut testbed.system, kind, stats, true);

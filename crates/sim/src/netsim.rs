@@ -40,7 +40,7 @@ use recluster_core::{
     NetConfig, ObservedStats, ObservedStrategy, Partition, PartitionKind, ProtocolConfig,
     RuntimeChurn, RuntimeEngine, SelfishStrategy,
 };
-use recluster_overlay::SimNetwork;
+use recluster_overlay::{RoutingMode, SimNetwork};
 use recluster_types::{derive_seed, Document, PeerId, Query, Sym, Workload};
 
 use crate::runner::{sweep_map, Parallelism};
@@ -189,7 +189,7 @@ pub fn run_liar_audit(
             // Honest traffic observed on the pre-round configuration
             // judges the claims made during the round itself.
             let mut stats = ObservedStats::new(0.5);
-            stats.absorb(&simulate_period(&tb.system, &mut ledger));
+            stats.absorb(&simulate_period(&tb.system, &mut ledger, RoutingMode::Flood).0);
             let outcome = engine.run_round(&mut tb.system, &mut ledger, round);
             let report = engine
                 .evidence()
@@ -525,7 +525,7 @@ pub fn run_observed_liar_audit(
         // the worst case for staleness — exactly what the audit must
         // refuse to call fraud.
         let mut stats = ObservedStats::new(0.0);
-        stats.absorb(&simulate_period(&tb.system, &mut ledger));
+        stats.absorb(&simulate_period(&tb.system, &mut ledger, RoutingMode::Flood).0);
         let liars = LiarConfig {
             fraction,
             boost: LIAR_BOOST,

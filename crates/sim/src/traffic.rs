@@ -3,7 +3,7 @@
 //! timeline.
 //!
 //! The paper evaluates the overlay with a periodic *batch* workload
-//! ([`simulate_period_routed`]
+//! ([`simulate_period`]
 //! walks every live workload once per period). A serving system sees
 //! something else entirely: queries arrive continuously while peers
 //! join, leave and relocate underneath them, and the routing state the
@@ -63,7 +63,7 @@ use std::fmt::Write as _;
 use rand::rngs::StdRng;
 use rand::Rng;
 use recluster_core::{
-    scost_normalized, simulate_period_routed, DecisionSource, ForwardHistogram, ObservedStats,
+    scost_normalized, simulate_period, DecisionSource, ForwardHistogram, ObservedStats,
     ProtocolConfig, System,
 };
 use recluster_corpus::{QueryBias, QuerySampler, WorkloadBuilder, Zipf};
@@ -796,8 +796,8 @@ impl TrafficEngine {
             // on a scratch ledger: observation traffic is the query
             // stream already measured above, not extra messages.
             let mut obs_net = SimNetwork::new();
-            let (observations, _) =
-                simulate_period_routed(&self.testbed.system, &mut obs_net, self.cfg.mode);
+            let (observations, _, _) =
+                simulate_period(&self.testbed.system, &mut obs_net, self.cfg.mode);
             stats.absorb(&observations);
             let agreement_rate =
                 decision_agreement(&mut self.testbed.system, self.cfg.maintenance, stats, true);

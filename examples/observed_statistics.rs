@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example observed_statistics`
 
 use recluster::core::{pcost, simulate_period, AltruisticStrategy, RelocationStrategy};
-use recluster::overlay::SimNetwork;
+use recluster::overlay::{RoutingMode, SimNetwork};
 use recluster::sim::scenario::{build_system, ExperimentConfig, InitialConfig, Scenario};
 use recluster::types::PeerId;
 
@@ -20,7 +20,7 @@ fn main() {
     // One observation period T: every peer's workload is routed
     // (flooded) through the overlay; results carry cid annotations.
     let mut net = SimNetwork::new();
-    let observations = simulate_period(system, &mut net);
+    let observations = simulate_period(system, &mut net, RoutingMode::Flood).0;
     println!(
         "period T routed {} messages ({} bytes)",
         net.total_messages(),

@@ -7,7 +7,7 @@ use recluster_core::{
     best_response, pcost, simulate_period, AltruisticStrategy, HybridStrategy, ObservedStats,
     ObservedStrategy, Proposal, RelocationStrategy, System,
 };
-use recluster_overlay::SimNetwork;
+use recluster_overlay::{RoutingMode, SimNetwork};
 use recluster_sim::scenario::{build_system, ExperimentConfig, InitialConfig, Scenario};
 
 /// Asserts that `observed` and `oracle` propose for every live peer the
@@ -16,7 +16,7 @@ use recluster_sim::scenario::{build_system, ExperimentConfig, InitialConfig, Sce
 fn assert_same_proposals(
     sys: &mut System,
     observed: &ObservedStrategy<'_>,
-    oracle: &dyn RelocationStrategy,
+    oracle: &impl RelocationStrategy,
     label: &str,
 ) {
     let peers: Vec<_> = sys.overlay().peers().collect();
@@ -47,7 +47,7 @@ fn check_scenario(scenario: Scenario, seed: u64) {
     // The observed altruistic and hybrid adapters decide exactly as
     // their oracle strategies under flood routing with decay disabled.
     let mut stats = ObservedStats::new(0.0);
-    stats.absorb(&simulate_period(&tb.system, &mut SimNetwork::new()));
+    stats.absorb(&simulate_period(&tb.system, &mut SimNetwork::new(), RoutingMode::Flood).0);
     let mut altruistic = AltruisticStrategy::new();
     altruistic.prepare(&tb.system);
     assert_same_proposals(
@@ -70,7 +70,7 @@ fn check_scenario(scenario: Scenario, seed: u64) {
 
 fn check_estimates(scenario: Scenario, seed: u64, sys: &System) {
     let mut net = SimNetwork::new();
-    let obs = simulate_period(sys, &mut net);
+    let obs = simulate_period(sys, &mut net, RoutingMode::Flood).0;
 
     let mut altruism = AltruisticStrategy::new();
     altruism.prepare(sys);
@@ -147,7 +147,7 @@ fn observation_traffic_scales_with_demand() {
     let measure = |cfg: &ExperimentConfig| {
         let tb = build_system(Scenario::SameCategory, InitialConfig::RandomM, cfg);
         let mut net = SimNetwork::new();
-        let _ = simulate_period(&tb.system, &mut net);
+        let _ = simulate_period(&tb.system, &mut net, RoutingMode::Flood).0;
         net.total_messages()
     };
     assert!(measure(&cfg_big_demand) > measure(&cfg_small_demand));

@@ -2,7 +2,7 @@
 //! lock rule, grant determinism, and round/run invariants.
 
 use proptest::prelude::*;
-use recluster_core::protocol::LockSet;
+use recluster_core::protocol::grant_requests;
 use recluster_core::{
     EmptyTargetPolicy, ProtocolConfig, ProtocolEngine, RelocationRequest, SelfishStrategy,
 };
@@ -27,19 +27,14 @@ fn arb_requests() -> impl Strategy<Value = Vec<RelocationRequest>> {
     )
 }
 
-/// Replays the engine's phase-2 logic on a raw request list.
+/// Runs a raw request list through the production phase-2 kernel both
+/// protocol drivers call, returning the granted requests in grant order.
 fn grant(requests: &[RelocationRequest]) -> Vec<RelocationRequest> {
     let mut sorted = requests.to_vec();
     RelocationRequest::sort_requests(&mut sorted);
-    let mut locks = LockSet::new();
-    let mut granted = Vec::new();
-    for req in sorted {
-        if locks.admissible(req.src, req.dst) {
-            locks.grant(req.src, req.dst);
-            granted.push(req);
-        }
-    }
-    granted
+    grant_requests(&sorted, true)
+        .filter_map(|(req, verdict)| verdict.is_ok().then_some(req))
+        .collect()
 }
 
 proptest! {
