@@ -14,7 +14,7 @@
 //! relocation request clears the gain threshold `ε`.
 //!
 //! The decision rules live once, in this module's pure kernels:
-//! [`select_request`] is the representative's phase-1 pick,
+//! `select_request` is the representative's phase-1 pick,
 //! [`grant_requests`] the phase-2 lock-rule scan, and `apply_policy`
 //! the empty-target and `ε` filter. Two drivers only move the inputs and
 //! verdicts of those kernels around:
@@ -82,7 +82,7 @@ impl RelocationRequest {
 /// `f64::EPSILON` and gains within that window go to the lower peer id.
 /// `candidates` arrive in ascending peer order; each request travels with
 /// a payload the caller needs back (the runtime's gain commitment).
-pub fn select_request<T>(
+pub(crate) fn select_request<T>(
     candidates: impl IntoIterator<Item = (RelocationRequest, T)>,
 ) -> Option<(RelocationRequest, T)> {
     let mut best: Option<(RelocationRequest, T)> = None;
