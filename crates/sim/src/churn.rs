@@ -516,6 +516,38 @@ mod tests {
     }
 
     #[test]
+    fn unmaintained_observed_and_oracle_runs_record_identical_periods() {
+        // Without repair, observing differs from the oracle only in
+        // which walk measures the period's queries; the observing walk
+        // and the traffic-only walk charge the same ledger.
+        for routing in [
+            RoutingMode::Flood,
+            RoutingMode::Routed(SummaryMode::Exact),
+            RoutingMode::Routed(SummaryMode::TopK(1)),
+        ] {
+            let oracle = ChurnConfig {
+                periods: 3,
+                maintenance: None,
+                routing,
+                ..ChurnConfig::default()
+            };
+            let observed = ChurnConfig {
+                decisions: DecisionSource::Observed { decay: 0.25 },
+                ..oracle.clone()
+            };
+            let (oracle_rows, oracle_fid) = run_churn_with_fidelity(&cfg(), &oracle);
+            let (observed_rows, observed_fid) = run_churn_with_fidelity(&cfg(), &observed);
+            assert_eq!(
+                format!("{observed_rows:?}"),
+                format!("{oracle_rows:?}"),
+                "{routing}"
+            );
+            assert!(oracle_fid.is_none());
+            assert!(observed_fid.expect("observed").periods.is_empty());
+        }
+    }
+
+    #[test]
     fn observed_churn_tracks_the_oracle_under_flood() {
         let churn = ChurnConfig {
             periods: 4,

@@ -1119,6 +1119,35 @@ mod tests {
     }
 
     #[test]
+    fn unmaintained_observed_and_oracle_runs_agree_apart_from_fidelity() {
+        // A null strategy reads no statistics, so the observation pass
+        // is the only difference: it runs on a scratch ledger and must
+        // leave the report untouched.
+        let (cfg, mut traffic) = traffic_small_config(43);
+        traffic.maintenance = StrategyKind::NoMaintenance;
+        let oracle = run_traffic(&cfg, &traffic);
+        let mut observed = run_traffic(
+            &cfg,
+            &TrafficConfig {
+                decisions: DecisionSource::Observed { decay: 0.25 },
+                ..traffic
+            },
+        );
+        assert!(observed.repairs > 0);
+        assert_eq!(observed.fidelity.len(), observed.repairs);
+        for f in &observed.fidelity {
+            assert_eq!(f.agreement_rate, 1.0);
+            assert_eq!(
+                f.scost_observed_repair.to_bits(),
+                f.scost_oracle_repair.to_bits()
+            );
+        }
+        assert_eq!(observed.final_scost_gap(), 0.0);
+        observed.fidelity = oracle.fidelity.clone();
+        assert_eq!(observed, oracle);
+    }
+
+    #[test]
     fn lossy_observations_degrade_fidelity() {
         let (cfg, traffic) = traffic_small_observed_config(13);
         let exact = run_traffic(&cfg, &traffic);
