@@ -19,9 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::env;
-
-use recluster_sim::knobs::{env_u64, Knobs};
+use recluster_sim::knobs::{env_flag, env_routing, env_u64, Knobs};
 use recluster_sim::{Parallelism, RoutingMode};
 
 /// Seed used by all experiment binaries unless overridden by the
@@ -48,17 +46,10 @@ pub fn parallelism_from_env() -> Parallelism {
 /// summaries, or `lossy:<k>` for top-`k` lossy summaries. Exact routing
 /// returns bit-identical results to flooding (property-tested in
 /// `recluster-core/tests/prop_routing.rs`) with far fewer messages;
-/// lossy routing additionally reports its false-negative rate.
+/// lossy routing additionally reports its false-negative rate. A
+/// malformed value is reported on stderr and flooding applies.
 pub fn routing_from_env() -> RoutingMode {
-    match env::var("RECLUSTER_ROUTING") {
-        Ok(s) => RoutingMode::parse(&s).unwrap_or_else(|| {
-            eprintln!(
-                "RECLUSTER_ROUTING={s} not understood (flood | routed | lossy:<k>); flooding"
-            );
-            RoutingMode::Flood
-        }),
-        Err(_) => RoutingMode::Flood,
-    }
+    env_routing("RECLUSTER_ROUTING").unwrap_or(RoutingMode::Flood)
 }
 
 /// Reads the experiment seed (`RECLUSTER_SEED`, default
@@ -69,9 +60,10 @@ pub fn seed_from_env() -> u64 {
 }
 
 /// Whether to run the miniature testbed instead of the paper-scale one
-/// (`RECLUSTER_SMALL=1`); keeps CI and demo runs fast.
+/// (`RECLUSTER_SMALL=1`); keeps CI and demo runs fast. A malformed value
+/// is reported on stderr and the paper scale applies.
 pub fn small_from_env() -> bool {
-    env::var("RECLUSTER_SMALL").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+    env_flag("RECLUSTER_SMALL").unwrap_or(false)
 }
 
 /// Prints the standard experiment banner.
@@ -109,7 +101,7 @@ mod tests {
     fn routing_defaults_to_flood() {
         // The suite never sets RECLUSTER_ROUTING; the default must keep
         // the paper's evaluation assumption.
-        if env::var("RECLUSTER_ROUTING").is_err() {
+        if std::env::var("RECLUSTER_ROUTING").is_err() {
             assert_eq!(routing_from_env(), RoutingMode::Flood);
         }
     }

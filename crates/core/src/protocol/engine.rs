@@ -143,23 +143,17 @@ pub struct ProtocolEngine<S: RelocationStrategy> {
     /// the memo is keyed on the journal's system id — so it safely
     /// persists across runs of the same engine).
     memo: ProposalMemo,
-    /// `config.memoize_proposals`, further gated by the
-    /// `RECLUSTER_MEMO=0` environment override (read once here).
-    memo_enabled: bool,
 }
 
 impl<S: RelocationStrategy> ProtocolEngine<S> {
     /// Creates an engine.
     pub fn new(strategy: S, config: ProtocolConfig) -> Self {
         assert!(config.epsilon >= 0.0, "epsilon must be non-negative");
-        let memo_enabled =
-            config.memoize_proposals && std::env::var("RECLUSTER_MEMO").map_or(true, |v| v != "0");
         ProtocolEngine {
             strategy,
             config,
             min_costs: Vec::new(),
             memo: ProposalMemo::new(),
-            memo_enabled,
         }
     }
 
@@ -175,8 +169,9 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
 
     /// Phase 1 against a snapshot: every live peer's raw proposal —
     /// memo hits re-emitted, misses recomputed (sharded by peer range
-    /// across the rayon shim when the system is large enough and the
-    /// strategy's `propose` is pure; the index-order merge makes the
+    /// across the rayon shim when the peer count reaches the bulk-walk
+    /// threshold of [`crate::shard::should_shard`] and the strategy's
+    /// `propose` is pure; the index-order merge makes the
     /// sharded result byte-identical to the sequential one) — then the
     /// per-cluster representative selection and message charging in
     /// exactly the sequential order. Returns the forwarded requests and
@@ -195,7 +190,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
             .flat_map(|&cid| view.overlay().cluster(cid).members().iter().copied())
             .collect();
 
-        let memo_on = self.memo_enabled && self.strategy.memoizable();
+        let memo_on = self.config.memoize_proposals && self.strategy.memoizable();
         if memo_on {
             // Opens the round's validity gate (candidate-sequence
             // version + changed-cluster set) before the immutable
@@ -217,8 +212,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
                 (strategy.propose(view, peer, allow_empty), None)
             }
         };
-        let sharded =
-            self.strategy.sharded_phase1() && peers.len() >= self.config.min_parallel_peers;
+        let sharded = self.strategy.sharded_phase1() && crate::shard::should_shard(peers.len());
         let mut raw: Vec<(Option<Proposal>, Option<ChainInfo>)> = if sharded {
             peers.par_iter().map(compute).collect()
         } else {

@@ -164,19 +164,10 @@ pub struct ProtocolConfig {
     /// (ablation) grants every request, which admits the move cycles the
     /// rule exists to prevent.
     pub use_locks: bool,
-    /// Minimum live-peer count at which phase 1 shards proposal
-    /// computation across the rayon shim's workers (peers split by
-    /// index range, results merged in peer order — byte-identical to
-    /// sequential). Below the threshold the spawn overhead outweighs the
-    /// work; `usize::MAX` forces sequential, `1` forces sharding.
-    /// Strategies with stateful `propose` implementations
-    /// ([`sharded_phase1`](crate::strategy::RelocationStrategy::sharded_phase1)
-    /// = false) always run sequentially.
-    pub min_parallel_peers: usize,
     /// Whether to memoize proposals across rounds for strategies that
     /// declare [`memoizable`](crate::strategy::RelocationStrategy::memoizable).
-    /// Bit-identical either way; the `RECLUSTER_MEMO=0` environment
-    /// knob force-disables it for A/B runs without touching configs.
+    /// Bit-identical either way; `false` gives the A/B run that
+    /// recomputes every proposal.
     pub memoize_proposals: bool,
 }
 
@@ -187,7 +178,6 @@ impl Default for ProtocolConfig {
             max_rounds: 300,
             empty_targets: EmptyTargetPolicy::Always,
             use_locks: true,
-            min_parallel_peers: 4096,
             memoize_proposals: true,
         }
     }
@@ -209,7 +199,6 @@ impl ProtocolConfig {
 /// use recluster_core::ProtocolConfig;
 /// let cfg = ProtocolConfig::builder()
 ///     .max_rounds(60)
-///     .min_parallel_peers(1)
 ///     .memoize(false)
 ///     .build();
 /// assert_eq!(cfg.max_rounds, 60);
@@ -243,12 +232,6 @@ impl ProtocolConfigBuilder {
     /// Enables or disables the phase-2 anti-cycle lock rule (default on).
     pub fn use_locks(mut self, on: bool) -> Self {
         self.config.use_locks = on;
-        self
-    }
-
-    /// Sets the phase-1 sharding threshold (default 4096).
-    pub fn min_parallel_peers(mut self, threshold: usize) -> Self {
-        self.config.min_parallel_peers = threshold;
         self
     }
 
@@ -451,14 +434,12 @@ mod tests {
             .max_rounds(17)
             .empty_targets(EmptyTargetPolicy::Never)
             .use_locks(false)
-            .min_parallel_peers(1)
             .memoize(false)
             .build();
         assert_eq!(cfg.epsilon, 0.05);
         assert_eq!(cfg.max_rounds, 17);
         assert_eq!(cfg.empty_targets, EmptyTargetPolicy::Never);
         assert!(!cfg.use_locks);
-        assert_eq!(cfg.min_parallel_peers, 1);
         assert!(!cfg.memoize_proposals);
     }
 

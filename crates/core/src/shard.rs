@@ -20,7 +20,9 @@
 //!
 //! Sharding engages only when the walk is at least
 //! [`shard_min`] items long (`RECLUSTER_SHARD_MIN`, default 4096):
-//! below that the scoped-thread setup costs more than the walk.
+//! below that the scoped-thread setup costs more than the walk. The
+//! protocol engine's phase-1 proposal fan-out takes the same decision
+//! through [`should_shard`].
 
 use std::ops::Range;
 use std::sync::OnceLock;

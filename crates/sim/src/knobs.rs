@@ -14,7 +14,7 @@ use recluster_core::{
     CrashWindow, DecisionSource, DelayDist, FaultSchedule, LiarConfig, LiarMode, NetConfig,
     Partition, PartitionKind,
 };
-use recluster_overlay::{RoutingMode, SummaryMode};
+use recluster_overlay::RoutingMode;
 use recluster_types::PeerId;
 
 /// A partition spec parsed from `RECLUSTER_NET_PARTITION`, before the
@@ -102,6 +102,31 @@ pub fn env_u64(name: &str) -> Option<u64> {
             None
         }
     }
+}
+
+/// Reads `name` as a boolean flag: `1`/`true` or `0`/`false` (case
+/// ignored). Same warning discipline as [`env_u64`].
+pub fn env_flag(name: &str) -> Option<bool> {
+    let raw = std::env::var(name).ok()?;
+    match raw.to_ascii_lowercase().as_str() {
+        "1" | "true" => Some(true),
+        "0" | "false" => Some(false),
+        _ => {
+            eprintln!("unknown {name}={raw:?}, ignoring");
+            None
+        }
+    }
+}
+
+/// Reads `name` as a routing mode: `flood`, `routed`/`exact`, or
+/// `lossy:<k>`. Same warning discipline as [`env_u64`].
+pub fn env_routing(name: &str) -> Option<RoutingMode> {
+    let raw = std::env::var(name).ok()?;
+    let mode = RoutingMode::parse(&raw);
+    if mode.is_none() {
+        eprintln!("unknown {name}={raw:?}, ignoring");
+    }
+    mode
 }
 
 /// Reads `name` as an `f64` constrained to `[0, max]`. Same warning
@@ -193,18 +218,10 @@ impl Knobs {
     /// Reads every knob from the environment, warning on stderr about
     /// each malformed value as it goes.
     pub fn from_env() -> Self {
-        let small = std::env::var("RECLUSTER_SMALL")
-            .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"));
-        let routing = std::env::var("RECLUSTER_ROUTING").ok().map(|raw| {
-            RoutingMode::parse(&raw).unwrap_or_else(|| {
-                eprintln!("unknown RECLUSTER_ROUTING={raw:?}, using exact");
-                RoutingMode::Routed(SummaryMode::Exact)
-            })
-        });
         Knobs {
             seed: env_u64("RECLUSTER_SEED"),
-            small,
-            routing,
+            small: env_flag("RECLUSTER_SMALL").unwrap_or(false),
+            routing: env_routing("RECLUSTER_ROUTING"),
             decisions: decisions_from_env(),
             traffic_queries: env_u64("RECLUSTER_TRAFFIC_QUERIES"),
             traffic_slices: env_u64("RECLUSTER_TRAFFIC_SLICES"),
@@ -302,6 +319,29 @@ mod tests {
         std::env::set_var("RECLUSTER_KNOBTEST_BAD", "not-a-number");
         assert_eq!(env_u64("RECLUSTER_KNOBTEST_BAD"), None);
         assert_eq!(env_u64("RECLUSTER_KNOBTEST_UNSET"), None);
+    }
+
+    #[test]
+    fn env_flag_parses_and_rejects() {
+        std::env::set_var("RECLUSTER_KNOBTEST_FLAG_ON", "TRUE");
+        assert_eq!(env_flag("RECLUSTER_KNOBTEST_FLAG_ON"), Some(true));
+        std::env::set_var("RECLUSTER_KNOBTEST_FLAG_OFF", "0");
+        assert_eq!(env_flag("RECLUSTER_KNOBTEST_FLAG_OFF"), Some(false));
+        std::env::set_var("RECLUSTER_KNOBTEST_FLAG_BAD", "yes please");
+        assert_eq!(env_flag("RECLUSTER_KNOBTEST_FLAG_BAD"), None);
+        assert_eq!(env_flag("RECLUSTER_KNOBTEST_FLAG_UNSET"), None);
+    }
+
+    #[test]
+    fn env_routing_parses_and_rejects() {
+        std::env::set_var("RECLUSTER_KNOBTEST_ROUTING_LOSSY", "lossy:2");
+        assert_eq!(
+            env_routing("RECLUSTER_KNOBTEST_ROUTING_LOSSY"),
+            Some(RoutingMode::Routed(recluster_overlay::SummaryMode::TopK(2)))
+        );
+        std::env::set_var("RECLUSTER_KNOBTEST_ROUTING_BAD", "carrier-pigeon");
+        assert_eq!(env_routing("RECLUSTER_KNOBTEST_ROUTING_BAD"), None);
+        assert_eq!(env_routing("RECLUSTER_KNOBTEST_ROUTING_UNSET"), None);
     }
 
     #[test]

@@ -29,11 +29,12 @@
 //!   silently fall back.
 //! * [`report`] — plain-text table/series rendering and CSV export.
 //!
-//! The churn and traffic scenarios both honour
+//! The churn and traffic scenarios share one churn batch and one repair
+//! step, and both honour
 //! [`DecisionSource`](recluster_core::DecisionSource): under
 //! `Observed` peers relocate on traffic-folded estimates and the run
-//! reports per-repair observed-vs-oracle fidelity
-//! ([`FidelityReport`], [`TrafficFidelity`]).
+//! reports per-repair observed-vs-oracle fidelity as one
+//! [`FidelityReport`] of [`FidelityPeriod`] rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,18 +55,16 @@ pub mod table1;
 pub mod traffic;
 pub mod updates;
 
-pub use churn::{
-    run_churn, run_churn_with_fidelity, ChurnConfig, ChurnPeriod, FidelityPeriod, FidelityReport,
-};
+pub use churn::{run_churn, run_churn_with_fidelity, ChurnConfig, ChurnPeriod};
 pub use recluster_overlay::{RoutingMode, SummaryMode};
 pub use runner::{
-    decision_agreement, measure_query_traffic, run_protocol, run_protocol_observed, sweep_map,
-    Parallelism, StrategyKind,
+    measure_query_traffic, run_protocol, sweep_map, FidelityPeriod, FidelityReport, Parallelism,
+    StrategyKind,
 };
 pub use scenario::{
     build_system, ideal_scenario1_system, ExperimentConfig, InitialConfig, Scenario, TestBed,
 };
 pub use traffic::{
     run_traffic, traffic_demo_config, traffic_small_config, traffic_small_observed_config,
-    TrafficConfig, TrafficEngine, TrafficFidelity, TrafficReport, TrafficWindow, WorkloadDynamics,
+    TrafficConfig, TrafficEngine, TrafficReport, TrafficWindow, WorkloadDynamics,
 };

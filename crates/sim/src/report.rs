@@ -78,6 +78,33 @@ pub fn render_series(label: &str, values: &[f64]) -> String {
     format!("{label}: {}", vals.join(" "))
 }
 
+/// Tiny FNV-1a accumulator behind the rendered reports' digest lines —
+/// same offset basis and prime as the golden suite's `BitDigest`, fed
+/// counters as integers and floats by raw bits, so a digest pins
+/// sub-rounding drift.
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Self {
+        Fnv(0xcbf29ce484222325)
+    }
+
+    pub(crate) fn u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    pub(crate) fn f64(&mut self, x: f64) {
+        self.u64(x.to_bits());
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

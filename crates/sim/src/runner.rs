@@ -1,10 +1,13 @@
-//! Strategy dispatch and the deterministic sweep runner.
+//! Strategy dispatch, the shared repair step and the deterministic
+//! sweep runner.
 //!
 //! Experiments select strategies by value ([`StrategyKind`]); this module
-//! maps each kind onto a concrete [`ProtocolEngine`] run, and provides
-//! [`sweep_map`] — the fan-out primitive every figure/table driver uses
-//! to evaluate independent scenario cells (strategy × α × seed × …)
-//! across cores.
+//! maps each kind onto a concrete [`ProtocolEngine`] run, holds the one
+//! maintenance step the churn and traffic drivers both call (oracle or
+//! observed decisions, with the observed-vs-oracle [`FidelityReport`]),
+//! and provides [`sweep_map`] — the fan-out primitive every figure/table
+//! driver uses to evaluate independent scenario cells (strategy × α ×
+//! seed × …) across cores.
 //!
 //! # Determinism contract
 //!
@@ -17,9 +20,9 @@
 use rayon::prelude::*;
 use recluster_baselines::{NoMaintenance, RandomStrategy};
 use recluster_core::{
-    simulate_period_traffic, AltruisticStrategy, HybridStrategy, ObservedStats, ObservedStrategy,
-    ProtocolConfig, ProtocolEngine, RelocationStrategy, RoutingReport, RunOutcome, SelfishStrategy,
-    System,
+    scost_normalized, simulate_period, simulate_period_traffic, AltruisticStrategy, DecisionSource,
+    HybridStrategy, ObservedStats, ObservedStrategy, ProtocolConfig, ProtocolEngine,
+    RelocationStrategy, RoutingReport, RunOutcome, SelfishStrategy, System,
 };
 use recluster_overlay::{RoutingMode, SimNetwork};
 use recluster_types::PeerId;
@@ -147,7 +150,7 @@ pub fn run_protocol(
 /// estimates in `stats` instead of oracle view state. The null baselines
 /// (`Random`, `NoMaintenance`) consult no statistics at all and fall
 /// back to [`run_protocol`] unchanged.
-pub fn run_protocol_observed(
+fn run_protocol_observed(
     system: &mut System,
     kind: StrategyKind,
     stats: &ObservedStats,
@@ -170,33 +173,24 @@ pub fn run_protocol_observed(
 
 /// Fraction of live peers whose observed proposal names the same
 /// destination as the oracle strategy's proposal on the current state
-/// (both proposing nothing also counts as agreement) — the per-round
-/// decision-fidelity measure of the observed-mode reports. `1.0` for the
-/// null baselines, whose decisions ignore statistics entirely.
-pub fn decision_agreement(
-    system: &mut System,
-    kind: StrategyKind,
-    stats: &ObservedStats,
-    allow_empty: bool,
-) -> f64 {
+/// (both proposing nothing also counts as agreement; empty targets are
+/// allowed) — the per-repair decision-fidelity measure of the
+/// observed-mode reports. `1.0` for the null baselines, whose decisions
+/// ignore statistics entirely.
+fn decision_agreement(system: &mut System, kind: StrategyKind, stats: &ObservedStats) -> f64 {
     match kind {
-        StrategyKind::Selfish => agreement_with(
-            system,
-            SelfishStrategy,
-            ObservedStrategy::selfish(stats),
-            allow_empty,
-        ),
+        StrategyKind::Selfish => {
+            agreement_with(system, SelfishStrategy, ObservedStrategy::selfish(stats))
+        }
         StrategyKind::Altruistic => agreement_with(
             system,
             AltruisticStrategy::new(),
             ObservedStrategy::altruistic(stats),
-            allow_empty,
         ),
         StrategyKind::Hybrid(lambda) => agreement_with(
             system,
             HybridStrategy::new(lambda),
             ObservedStrategy::hybrid(stats, lambda),
-            allow_empty,
         ),
         StrategyKind::Random(..) | StrategyKind::NoMaintenance => 1.0,
     }
@@ -206,8 +200,8 @@ fn agreement_with<O: RelocationStrategy>(
     system: &mut System,
     mut oracle: O,
     observed: ObservedStrategy<'_>,
-    allow_empty: bool,
 ) -> f64 {
+    let allow_empty = true;
     oracle.prepare(system);
     let view = system.view();
     let peers: Vec<PeerId> = view.overlay().peers().collect();
@@ -223,6 +217,145 @@ fn agreement_with<O: RelocationStrategy>(
         })
         .count();
     agree as f64 / peers.len() as f64
+}
+
+/// One maintenance period's decision-fidelity row (observed decisions
+/// only): how closely the observed relocation decisions tracked the
+/// oracle's on the same pre-repair state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FidelityPeriod {
+    /// The maintenance period: the churn period index, or the slice of
+    /// the traffic engine's repair tick.
+    pub period: usize,
+    /// Fraction of live peers whose observed proposal named the same
+    /// destination as the oracle strategy's proposal on the pre-repair
+    /// state (both proposing nothing counts as agreement).
+    pub agreement_rate: f64,
+    /// Normalized social cost after the *observed* repair.
+    pub scost_observed_repair: f64,
+    /// Normalized social cost a reference *oracle* repair reaches from
+    /// the same pre-repair state.
+    pub scost_oracle_repair: f64,
+}
+
+impl FidelityPeriod {
+    /// Relative cost excess of the observed repair over the oracle one
+    /// (`0` = identical quality; positive = observed repairs worse).
+    pub fn scost_gap(&self) -> f64 {
+        if self.scost_oracle_repair == 0.0 {
+            0.0
+        } else {
+            self.scost_observed_repair / self.scost_oracle_repair - 1.0
+        }
+    }
+}
+
+/// Decision-fidelity report of an observed-mode run: how closely the
+/// observed relocation pipeline tracks the oracle it replaces.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FidelityReport {
+    /// One entry per maintained period.
+    pub periods: Vec<FidelityPeriod>,
+}
+
+impl FidelityReport {
+    /// Mean per-period agreement rate (`1.0` without periods).
+    pub fn mean_agreement(&self) -> f64 {
+        if self.periods.is_empty() {
+            return 1.0;
+        }
+        self.periods.iter().map(|p| p.agreement_rate).sum::<f64>() / self.periods.len() as f64
+    }
+
+    /// The scost gap at convergence — the last period's relative excess
+    /// (`0` without periods).
+    pub fn final_scost_gap(&self) -> f64 {
+        self.periods.last().map_or(0.0, |p| p.scost_gap())
+    }
+}
+
+/// The maintenance step the churn and traffic drivers share. Under
+/// [`DecisionSource::Observed`] each call first routes every peer's
+/// workload under the configured mode (the traffic the peers observe),
+/// folds it into the running estimates, and then relocates on those
+/// estimates, auditing the decisions against a reference oracle repair
+/// on a clone. Under [`DecisionSource::Oracle`] it only runs the oracle
+/// repair.
+pub(crate) struct RepairStep {
+    kind: Option<StrategyKind>,
+    protocol: ProtocolConfig,
+    mode: RoutingMode,
+    stats: Option<ObservedStats>,
+    fidelity: Vec<FidelityPeriod>,
+}
+
+impl RepairStep {
+    /// A step repairing with `kind` (`None` = observe only, never
+    /// relocate) under `protocol`, observing under `mode`.
+    pub(crate) fn new(
+        decisions: DecisionSource,
+        kind: Option<StrategyKind>,
+        protocol: ProtocolConfig,
+        mode: RoutingMode,
+    ) -> Self {
+        RepairStep {
+            kind,
+            protocol,
+            mode,
+            stats: match decisions {
+                DecisionSource::Observed { decay } => Some(ObservedStats::new(decay)),
+                DecisionSource::Oracle => None,
+            },
+            fidelity: Vec::new(),
+        }
+    }
+
+    /// Runs one period's maintenance, charging protocol traffic to
+    /// `net`. Returns the relocations performed and, under observed
+    /// decisions, the observation pass's own ledger and routing report.
+    pub(crate) fn run(
+        &mut self,
+        system: &mut System,
+        net: &mut SimNetwork,
+        period: usize,
+    ) -> (usize, Option<(SimNetwork, RoutingReport)>) {
+        let observed = self.stats.as_mut().map(|stats| {
+            let mut query_net = SimNetwork::new();
+            let (observations, routing, _) = simulate_period(system, &mut query_net, self.mode);
+            stats.absorb(&observations);
+            (query_net, routing)
+        });
+        let Some(kind) = self.kind else {
+            return (0, observed);
+        };
+        let outcome = match &self.stats {
+            None => run_protocol(system, kind, self.protocol, net),
+            Some(stats) => {
+                let agreement_rate = decision_agreement(system, kind, stats);
+                // Reference oracle repair from the same pre-repair state,
+                // on a fork whose traffic goes to a scratch ledger.
+                let mut reference = system.clone();
+                run_protocol(&mut reference, kind, self.protocol, &mut SimNetwork::new());
+                let outcome = run_protocol_observed(system, kind, stats, self.protocol, net);
+                self.fidelity.push(FidelityPeriod {
+                    period,
+                    agreement_rate,
+                    scost_observed_repair: scost_normalized(system),
+                    scost_oracle_repair: scost_normalized(&reference),
+                });
+                outcome
+            }
+        };
+        (outcome.total_moves(), observed)
+    }
+
+    /// The fidelity rows so far — `Some` exactly under observed
+    /// decisions.
+    pub(crate) fn into_fidelity(self) -> Option<FidelityReport> {
+        self.stats.map(|_| FidelityReport {
+            periods: self.fidelity,
+        })
+    }
 }
 
 #[cfg(test)]

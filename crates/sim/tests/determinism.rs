@@ -8,6 +8,7 @@
 
 use std::fmt::Write as _;
 
+use recluster_core::shard::set_shard_min_override;
 use recluster_core::{
     CrashWindow, DecisionSource, FaultSchedule, NetConfig, Partition, PartitionKind,
     ProtocolConfig, ProtocolEngine, RuntimeChurn, RuntimeEngine, SelfishStrategy,
@@ -25,6 +26,26 @@ use recluster_sim::{
     run_churn_with_fidelity, run_protocol, sweep_map, ChurnConfig, Parallelism, StrategyKind,
 };
 use recluster_types::PeerId;
+
+/// The CI matrix width (`RECLUSTER_THREADS`), or 3 when unset.
+fn matrix_width() -> usize {
+    std::env::var("RECLUSTER_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(3)
+}
+
+/// Runs `f` with the shard threshold overridden to `min` on this thread
+/// (`1` forces every bulk walk and phase 1 through the sharded path,
+/// `usize::MAX` keeps them sequential), then restores the environment
+/// knob.
+fn with_shard_min<R>(min: usize, f: impl FnOnce() -> R) -> R {
+    set_shard_min_override(Some(min));
+    let out = f();
+    set_shard_min_override(None);
+    out
+}
 
 /// One sweep cell: strategy × seed, each building its own testbed.
 fn cells() -> Vec<(StrategyKind, u64)> {
@@ -106,11 +127,7 @@ fn parallel_sweep_report_is_byte_identical_to_sequential() {
 /// hide behind a single-thread runner.
 #[test]
 fn matrix_pinned_pool_equals_sequential() {
-    let width: usize = std::env::var("RECLUSTER_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
+    let width = matrix_width();
     let cells = cells();
     let sequential = sweep_map(Parallelism::Sequential, &cells, run_cell);
     let pinned = sweep_map(Parallelism::Threads(width), &cells, run_cell);
@@ -128,7 +145,7 @@ fn matrix_pinned_pool_equals_sequential() {
 /// gain bits, post-round costs, phase-1 memo counters excluded (they
 /// are compared separately — memoization must change *counters*, never
 /// protocol bytes).
-fn round_trace(min_parallel_peers: usize, memoize: bool) -> String {
+fn round_trace(memoize: bool) -> String {
     let mut tb = build_system(
         Scenario::SameCategory,
         InitialConfig::Singletons,
@@ -137,7 +154,6 @@ fn round_trace(min_parallel_peers: usize, memoize: bool) -> String {
     let mut net = SimNetwork::new();
     let cfg = ProtocolConfig::builder()
         .max_rounds(40)
-        .min_parallel_peers(min_parallel_peers)
         .memoize(memoize)
         .build();
     let mut engine = ProtocolEngine::new(SelfishStrategy, cfg);
@@ -175,39 +191,36 @@ fn round_trace(min_parallel_peers: usize, memoize: bool) -> String {
 /// byte-identical to the forced-sequential run.
 #[test]
 fn protocol_round_parallel_equals_sequential() {
-    let sequential = round_trace(usize::MAX, true);
+    let sequential = with_shard_min(usize::MAX, || round_trace(true));
     for threads in [1usize, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("shim pool build never fails");
-        let parallel = pool.install(|| round_trace(1, true));
+        let parallel = pool.install(|| with_shard_min(1, || round_trace(true)));
         assert_eq!(
             sequential.as_bytes(),
             parallel.as_bytes(),
             "{threads}-thread phase 1 diverged from sequential"
         );
     }
-    let width: usize = std::env::var("RECLUSTER_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
+    let width = matrix_width();
     let pinned = rayon::ThreadPoolBuilder::new()
         .num_threads(width)
         .build()
         .expect("shim pool build never fails")
-        .install(|| round_trace(1, true));
+        .install(|| with_shard_min(1, || round_trace(true)));
     assert_eq!(sequential.as_bytes(), pinned.as_bytes());
 }
 
-/// The traffic engine rendered to bytes, with phase 1 forced parallel
-/// (`min_parallel_peers: 1`) so its repair rounds actually shard across
+/// The traffic engine rendered to bytes, with the shard threshold
+/// forced to 1 so its repair rounds actually shard phase 1 across
 /// whatever pool is installed.
 fn traffic_trace() -> String {
-    let (cfg, mut traffic) = recluster_sim::traffic::traffic_small_config(37);
-    traffic.protocol.min_parallel_peers = 1;
-    recluster_sim::traffic::run_traffic(&cfg, &traffic).render("traffic_det", 37)
+    let (cfg, traffic) = recluster_sim::traffic::traffic_small_config(37);
+    with_shard_min(1, || {
+        recluster_sim::traffic::run_traffic(&cfg, &traffic).render("traffic_det", 37)
+    })
 }
 
 /// The streamed traffic engine — sampling, routing, churn, batched
@@ -230,11 +243,7 @@ fn traffic_engine_parallel_equals_sequential() {
             "{threads}-thread traffic run diverged"
         );
     }
-    let width: usize = std::env::var("RECLUSTER_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
+    let width = matrix_width();
     let pinned = rayon::ThreadPoolBuilder::new()
         .num_threads(width)
         .build()
@@ -249,10 +258,7 @@ fn traffic_engine_parallel_equals_sequential() {
 /// terminal converged round re-emits every clean peer's proposal).
 #[test]
 fn proposal_memo_preserves_protocol_bytes() {
-    assert_eq!(
-        round_trace(usize::MAX, true).as_bytes(),
-        round_trace(usize::MAX, false).as_bytes()
-    );
+    assert_eq!(round_trace(true).as_bytes(), round_trace(false).as_bytes());
 
     // Count the hits directly: a converged system re-runs one round.
     let mut tb = build_system(
@@ -335,11 +341,7 @@ fn observed_churn_parallel_equals_sequential() {
             "{threads}-thread observed churn diverged"
         );
     }
-    let width: usize = std::env::var("RECLUSTER_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
+    let width = matrix_width();
     let pinned = rayon::ThreadPoolBuilder::new()
         .num_threads(width)
         .build()
@@ -352,9 +354,10 @@ fn observed_churn_parallel_equals_sequential() {
 /// audit, reference oracle repair and the observed repair — rendered to
 /// bytes with phase 1 forced parallel, mirroring [`traffic_trace`].
 fn observed_traffic_trace() -> String {
-    let (cfg, mut traffic) = recluster_sim::traffic::traffic_small_observed_config(41);
-    traffic.protocol.min_parallel_peers = 1;
-    recluster_sim::traffic::run_traffic(&cfg, &traffic).render("traffic_det_observed", 41)
+    let (cfg, traffic) = recluster_sim::traffic::traffic_small_observed_config(41);
+    with_shard_min(1, || {
+        recluster_sim::traffic::run_traffic(&cfg, &traffic).render("traffic_det_observed", 41)
+    })
 }
 
 /// Observed traffic under pinned 1/2/8-worker pools and the CI matrix
@@ -378,11 +381,7 @@ fn observed_traffic_engine_parallel_equals_sequential() {
             "{threads}-thread observed traffic run diverged"
         );
     }
-    let width: usize = std::env::var("RECLUSTER_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
+    let width = matrix_width();
     let pinned = rayon::ThreadPoolBuilder::new()
         .num_threads(width)
         .build()
@@ -429,29 +428,19 @@ fn oracle_churn_trace() -> String {
 /// every *other* trace in this file crosses the sharded path too.
 #[test]
 fn sharded_churn_trace_parallel_equals_sequential() {
-    use recluster_core::shard::set_shard_min_override;
-
-    set_shard_min_override(Some(usize::MAX));
-    let sequential = oracle_churn_trace();
-    set_shard_min_override(Some(1));
-    let width: usize = std::env::var("RECLUSTER_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
-    for threads in [1usize, 2, 8, width] {
+    let sequential = with_shard_min(usize::MAX, oracle_churn_trace);
+    for threads in [1usize, 2, 8, matrix_width()] {
         let sharded = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("shim pool build never fails")
-            .install(oracle_churn_trace);
+            .install(|| with_shard_min(1, oracle_churn_trace));
         assert_eq!(
             sequential.as_bytes(),
             sharded.as_bytes(),
             "{threads}-thread sharded churn diverged from sequential"
         );
     }
-    set_shard_min_override(None);
 }
 
 /// A full runtime convergence under a *degraded* schedule (delay 0..3,
@@ -594,11 +583,7 @@ fn runtime_trace_parallel_equals_sequential() {
             "{threads}-thread runtime trace diverged"
         );
     }
-    let width: usize = std::env::var("RECLUSTER_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
+    let width = matrix_width();
     let pinned = rayon::ThreadPoolBuilder::new()
         .num_threads(width)
         .build()
@@ -625,11 +610,7 @@ fn netsim_sweeps_parallel_equal_sequential() {
         ]
     };
     let seq = renders(Parallelism::Sequential);
-    let width: usize = std::env::var("RECLUSTER_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
+    let width = matrix_width();
     for threads in [1usize, 2, 8, width] {
         let par = renders(Parallelism::Threads(threads));
         for (name, (s, p)) in [
