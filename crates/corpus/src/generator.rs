@@ -381,6 +381,66 @@ mod tests {
         }
     }
 
+    /// FNV-1a over everything downstream code reads from a corpus:
+    /// symbol names in id order, every document's attributes, and the
+    /// per-category vocabulary, occurrence and document-frequency rows.
+    fn corpus_digest(c: &Corpus) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for i in 0..c.interner().len() {
+            eat(c.interner().resolve(Sym::from_index(i)).as_bytes());
+            eat(&[0xff]);
+        }
+        for cat in 0..c.n_categories() {
+            for doc in c.docs(cat) {
+                eat(&(doc.len() as u32).to_le_bytes());
+                for s in doc.attrs() {
+                    eat(&s.0.to_le_bytes());
+                }
+            }
+            for s in c.category_syms(cat) {
+                eat(&s.0.to_le_bytes());
+            }
+            for n in c.occurrences(cat) {
+                eat(&n.to_le_bytes());
+            }
+            for n in c.doc_freq(cat) {
+                eat(&n.to_le_bytes());
+            }
+        }
+        for s in c.shared_syms() {
+            eat(&s.0.to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn generated_corpus_is_pinned() {
+        // The corpus orders every downstream digest (symbol ids order
+        // documents, summaries and top-k tie-breaks), so generation must
+        // stay bit-for-bit stable. The second config is the paper-scale
+        // testbed's corpus shape at its default seed.
+        let paper = CorpusConfig {
+            n_categories: 10,
+            vocab_per_category: 400,
+            shared_vocab: 30,
+            docs_per_category: 400,
+            content_words_per_doc: 18,
+            shared_words_per_doc: 2,
+            zipf_exponent: 1.1,
+            seed: recluster_types::derive_seed(2008, 0xC0),
+        };
+        let digests = [
+            corpus_digest(&Corpus::generate(small_config(1))),
+            corpus_digest(&Corpus::generate(paper)),
+        ];
+        assert_eq!(digests, [0xcbef_d3a4_6235_193a, 0xec99_adec_8840_f308]);
+    }
+
     #[test]
     #[should_panic(expected = "at least one category")]
     fn zero_categories_panics() {
