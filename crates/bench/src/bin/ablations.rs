@@ -1,6 +1,6 @@
-//! Ablations over the design choices called out in DESIGN.md: the `θ`
-//! cost-model shape, the `ε` stop threshold, the hybrid strategy's `λ`,
-//! and the §3.2 anti-cycle lock rule.
+//! Ablations over four design choices of the cost model and protocol:
+//! the `θ` cost-model shape, the `ε` stop threshold, the hybrid
+//! strategy's `λ`, and the §3.2 anti-cycle lock rule.
 
 use recluster_bench::{banner, seed_from_env, small_from_env};
 use recluster_sim::ablation::{

@@ -3,9 +3,8 @@
 //! updates against the converged scenario-1 overlay, cluster count held
 //! fixed, ε = 0.001.
 
-use recluster_bench::{banner, seed_from_env, small_from_env};
-use recluster_sim::fig23::{run_figure, standard_fractions, UpdateMode};
-use recluster_sim::report::render_table;
+use recluster_bench::{banner, fig23, seed_from_env, small_from_env};
+use recluster_sim::fig23::UpdateMode;
 use recluster_sim::scenario::ExperimentConfig;
 
 fn main() {
@@ -17,38 +16,14 @@ fn main() {
     } else {
         ExperimentConfig::paper(seed)
     };
-    let fractions = standard_fractions();
-
-    for (mode, label) in [
-        (UpdateMode::WorkloadPeers, "left: % of updated peers"),
-        (UpdateMode::WorkloadBlend, "right: % of updated workload"),
-    ] {
-        println!("--- Fig. 2 ({label}) ---");
-        let series = run_figure(&cfg, mode, &fractions, 300);
-        let headers = [
-            "fraction",
-            "scost-after-update",
-            "selfish(after)",
-            "selfish moves",
-            "altruistic(after)",
-            "altruistic moves",
-        ];
-        let rows: Vec<Vec<String>> = fractions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                vec![
-                    format!("{f:.1}"),
-                    format!("{:.3}", series[0].points[i].scost_before),
-                    format!("{:.3}", series[0].points[i].scost_after),
-                    series[0].points[i].moves.to_string(),
-                    format!("{:.3}", series[1].points[i].scost_after),
-                    series[1].points[i].moves.to_string(),
-                ]
-            })
-            .collect();
-        println!("{}", render_table(&headers, &rows));
-    }
+    fig23(
+        "Fig. 2",
+        &cfg,
+        [
+            (UpdateMode::WorkloadPeers, "left: % of updated peers"),
+            (UpdateMode::WorkloadBlend, "right: % of updated workload"),
+        ],
+    );
 
     println!("Paper reference: selfish repairs the cost once more than ~50% of the");
     println!("workload has changed; altruistic providers move only when the demand from");

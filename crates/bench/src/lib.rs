@@ -19,7 +19,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use recluster_sim::fig23::{run_figure, standard_fractions, UpdateMode};
 use recluster_sim::knobs::{env_flag, env_routing, env_u64, Knobs};
+use recluster_sim::report::render_table;
+use recluster_sim::scenario::ExperimentConfig;
 use recluster_sim::{Parallelism, RoutingMode};
 
 /// Seed used by all experiment binaries unless overridden by the
@@ -80,6 +83,41 @@ pub fn banner(name: &str, paper_ref: &str, seed: u64, small: bool) {
         parallelism_from_env().workers(),
     );
     println!();
+}
+
+/// Prints the two panels of Figure 2 or 3: for each `(mode, label)`
+/// panel, one row per updated fraction with the social cost after the
+/// update and, for the selfish and the altruistic repair, the social
+/// cost after repair and the number of moves.
+pub fn fig23(figure: &str, cfg: &ExperimentConfig, panels: [(UpdateMode, &str); 2]) {
+    let fractions = standard_fractions();
+    for (mode, label) in panels {
+        println!("--- {figure} ({label}) ---");
+        let series = run_figure(cfg, mode, &fractions, 300);
+        let headers = [
+            "fraction",
+            "scost-after-update",
+            "selfish(after)",
+            "selfish moves",
+            "altruistic(after)",
+            "altruistic moves",
+        ];
+        let rows: Vec<Vec<String>> = fractions
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                vec![
+                    format!("{f:.1}"),
+                    format!("{:.3}", series[0].points[i].scost_before),
+                    format!("{:.3}", series[0].points[i].scost_after),
+                    series[0].points[i].moves.to_string(),
+                    format!("{:.3}", series[1].points[i].scost_after),
+                    series[1].points[i].moves.to_string(),
+                ]
+            })
+            .collect();
+        println!("{}", render_table(&headers, &rows));
+    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,21 @@
 //! Synthetic article generation.
 //!
-//! Articles are rendered as raw text — Zipf-sampled content words from the
-//! category's vocabulary, a few shared background words, interleaved with
-//! English stop-words — and then pushed through the real
-//! `TextPipeline` — exactly as the paper
-//! preprocesses its Newsgroup articles. The output is a set-of-attributes
-//! [`Document`] per article, grouped by category, plus the occurrence and
-//! document-frequency statistics the query samplers need.
+//! An article is Zipf-sampled content words from its category's
+//! vocabulary plus a few shared background words. The paper shares its
+//! Newsgroup articles after stop-word removal and lemmatization, so an
+//! article here is drawn directly in that preprocessed space: each drawn
+//! word becomes the symbol of its stem. On this vocabulary that equals
+//! rendering the text and preprocessing it, because every vocabulary
+//! word is one lowercase alphabetic token, is not a stop-word and has a
+//! stem no other word shares (see [`crate::vocabulary`]). The output is
+//! a set-of-attributes [`Document`] per article, grouped by category,
+//! plus the occurrence and document-frequency statistics the query
+//! samplers need.
 
 use rand::Rng;
 use recluster_types::{seeded_rng, Document, Interner, Sym};
 
-use crate::pipeline::{TextPipeline, STOPWORDS};
+use crate::pipeline::{stem, STOPWORDS};
 use crate::vocabulary::VocabularyBuilder;
 use crate::zipf::Zipf;
 
@@ -66,8 +70,8 @@ pub struct Corpus {
     shared_syms: Vec<Sym>,
     /// Documents per category.
     docs_by_category: Vec<Vec<Document>>,
-    /// Occurrence counts aligned with `category_syms` (token occurrences
-    /// in the rendered texts, post-pipeline).
+    /// Occurrence counts aligned with `category_syms` (how often each
+    /// word was drawn across the category's articles).
     occurrences: Vec<Vec<u64>>,
     /// Document frequencies aligned with `category_syms`.
     doc_freq: Vec<Vec<u32>>,
@@ -89,53 +93,65 @@ impl Corpus {
         .build();
 
         let mut interner = Interner::new();
-        let mut pipeline = TextPipeline::new();
         let mut rng = seeded_rng(recluster_types::derive_seed(config.seed, 1));
         let zipf = Zipf::new(config.vocab_per_category, config.zipf_exponent);
 
+        // Symbols are numbered in order of first appearance in the
+        // articles: a word is interned the first time it is drawn.
+        let mut category_tables: Vec<Vec<Option<Sym>>> = vocab
+            .categories
+            .iter()
+            .map(|c| vec![None; c.len()])
+            .collect();
+        let mut shared_table = vec![None; vocab.shared.len()];
+        let n_words = config.n_categories * config.vocab_per_category + vocab.shared.len();
+        let mut occurrences = vec![0u64; n_words];
+        let mut doc_freq = vec![0u32; n_words];
+
         let mut docs_by_category = Vec::with_capacity(config.n_categories);
-        for cat in 0..config.n_categories {
+        for (table, category) in category_tables.iter_mut().zip(&vocab.categories) {
             let mut docs = Vec::with_capacity(config.docs_per_category);
             for _ in 0..config.docs_per_category {
-                let text = render_article(
-                    &vocab.categories[cat].words,
-                    &vocab.shared,
-                    &zipf,
-                    config.content_words_per_doc,
-                    config.shared_words_per_doc,
-                    &mut rng,
-                );
-                docs.push(pipeline.process_article(&text, &mut interner));
+                let mut attrs =
+                    Vec::with_capacity(config.content_words_per_doc + config.shared_words_per_doc);
+                for _ in 0..config.content_words_per_doc {
+                    let rank = zipf.sample(&mut rng);
+                    skip_stopword(&mut rng);
+                    attrs.push(symbol(table, &category.words, rank, &mut interner));
+                }
+                for _ in 0..config.shared_words_per_doc {
+                    if vocab.shared.is_empty() {
+                        break;
+                    }
+                    let i = rng.gen_range(0..vocab.shared.len());
+                    skip_stopword(&mut rng);
+                    attrs.push(symbol(&mut shared_table, &vocab.shared, i, &mut interner));
+                }
+                for s in &attrs {
+                    occurrences[s.index()] += 1;
+                }
+                let doc = Document::new(attrs);
+                for s in doc.attrs() {
+                    doc_freq[s.index()] += 1;
+                }
+                docs.push(doc);
             }
             docs_by_category.push(docs);
         }
 
-        // Intern the stemmed vocabulary in rank order. Every vocabulary
-        // word that appeared in at least one article is already interned;
-        // words that never appeared are interned here with zero counts.
-        let category_syms: Vec<Vec<Sym>> = vocab
-            .categories
-            .iter()
-            .map(|c| {
-                c.words
-                    .iter()
-                    .map(|w| interner.intern(&crate::pipeline::stem(w)))
+        // Words never drawn are interned now, in rank order, with zero
+        // counts.
+        let category_syms: Vec<Vec<Sym>> = category_tables
+            .iter_mut()
+            .zip(&vocab.categories)
+            .map(|(table, c)| {
+                (0..c.len())
+                    .map(|i| symbol(table, &c.words, i, &mut interner))
                     .collect()
             })
             .collect();
-        let shared_syms: Vec<Sym> = vocab
-            .shared
-            .iter()
-            .map(|w| interner.intern(&crate::pipeline::stem(w)))
-            .collect();
-
-        let occurrences: Vec<Vec<u64>> = category_syms
-            .iter()
-            .map(|syms| {
-                syms.iter()
-                    .map(|&s| pipeline.frequencies().count(s))
-                    .collect()
-            })
+        let shared_syms: Vec<Sym> = (0..vocab.shared.len())
+            .map(|i| symbol(&mut shared_table, &vocab.shared, i, &mut interner))
             .collect();
 
         let mut sym_category = vec![None; interner.len()];
@@ -145,16 +161,14 @@ impl Corpus {
             }
         }
 
-        let doc_freq = compute_doc_freq(&category_syms, &docs_by_category);
-
         Corpus {
             config,
             interner,
+            occurrences: by_category(&category_syms, &occurrences),
+            doc_freq: by_category(&category_syms, &doc_freq),
             category_syms,
             shared_syms,
             docs_by_category,
-            occurrences,
-            doc_freq,
             sym_category,
         }
     }
@@ -216,60 +230,27 @@ impl Corpus {
     }
 }
 
-/// Renders one article as raw text: content words (Zipf-ranked) and a few
-/// shared words, interleaved with stop-words roughly every third token —
-/// giving the pipeline real filtering work to do.
-fn render_article<R: Rng + ?Sized>(
-    category_words: &[String],
-    shared_words: &[String],
-    zipf: &Zipf,
-    content_draws: usize,
-    shared_draws: usize,
-    rng: &mut R,
-) -> String {
-    let mut text = String::with_capacity(16 * (content_draws + shared_draws));
-    let emit = |text: &mut String, word: &str, rng: &mut R| {
-        if !text.is_empty() {
-            text.push(' ');
-        }
-        if rng.gen_ratio(1, 3) {
-            text.push_str(STOPWORDS[rng.gen_range(0..STOPWORDS.len())]);
-            text.push(' ');
-        }
-        text.push_str(word);
-    };
-    for _ in 0..content_draws {
-        let rank = zipf.sample(rng);
-        emit(&mut text, &category_words[rank], rng);
-    }
-    for _ in 0..shared_draws {
-        if shared_words.is_empty() {
-            break;
-        }
-        let i = rng.gen_range(0..shared_words.len());
-        emit(&mut text, &shared_words[i], rng);
-    }
-    text.push('.');
-    text
+/// The symbol of `words[i]`: its interned stem, filled into `table` on
+/// first use so each word is stemmed once.
+fn symbol(table: &mut [Option<Sym>], words: &[String], i: usize, interner: &mut Interner) -> Sym {
+    *table[i].get_or_insert_with(|| interner.intern(&stem(&words[i])))
 }
 
-fn compute_doc_freq(
-    category_syms: &[Vec<Sym>],
-    docs_by_category: &[Vec<Document>],
-) -> Vec<Vec<u32>> {
+/// Makes the draws of the stop-word that raw text would carry before
+/// roughly every third token. Preprocessing drops the word itself, but
+/// its draws stay in the stream: dropping them would change the corpus
+/// and so every golden digest.
+fn skip_stopword<R: Rng + ?Sized>(rng: &mut R) {
+    if rng.gen_ratio(1, 3) {
+        rng.gen_range(0..STOPWORDS.len());
+    }
+}
+
+/// Gathers a per-symbol column into rows aligned with `category_syms`.
+fn by_category<T: Copy>(category_syms: &[Vec<Sym>], column: &[T]) -> Vec<Vec<T>> {
     category_syms
         .iter()
-        .enumerate()
-        .map(|(cat, syms)| {
-            syms.iter()
-                .map(|&s| {
-                    docs_by_category[cat]
-                        .iter()
-                        .filter(|d| d.contains(s))
-                        .count() as u32
-                })
-                .collect()
-        })
+        .map(|syms| syms.iter().map(|s| column[s.index()]).collect())
         .collect()
 }
 

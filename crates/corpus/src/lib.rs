@@ -4,21 +4,23 @@
 //! different categories", preprocessed by stop-word removal and
 //! lemmatization, with queries "generated by choosing a random word from
 //! the texts". The original dataset is not available to us, so this crate
-//! builds the closest synthetic equivalent (documented in `DESIGN.md`):
+//! builds the closest synthetic equivalent:
 //!
 //! * [`zipf`] — a seeded Zipf sampler (word frequencies in natural text
 //!   are Zipfian; the paper also assigns query demand across peers with a
 //!   Zipf distribution).
-//! * [`pipeline`] — a real text-preprocessing pipeline: tokenizer,
-//!   stop-word filter, suffix-stripping stemmer and frequency table,
-//!   mirroring the preprocessing the paper applies to its articles.
+//! * [`pipeline`] — the preprocessing the paper applies to its articles:
+//!   an English stop-word list and a suffix-stripping stemmer standing in
+//!   for the lemmatizer.
 //! * [`vocabulary`] — pseudo-word vocabularies, one per category plus a
 //!   shared background vocabulary, built so that stemming never collides
 //!   two distinct vocabulary entries.
-//! * [`generator`] — renders synthetic articles as raw text (content
-//!   words interleaved with English stop-words), feeds them through the
-//!   pipeline, and exposes the resulting attribute-set documents grouped
-//!   by category, together with word-occurrence statistics.
+//! * [`generator`] — draws synthetic articles directly in stemmed-symbol
+//!   space and exposes them as attribute-set documents grouped by
+//!   category, together with word-occurrence statistics. Because every
+//!   vocabulary word is one lowercase token, no stop-word, and has a stem
+//!   of its own, this is exactly what stop-word removal and stemming of
+//!   the rendered article text would produce.
 //! * [`queries`] — samples query words "from the texts" under several
 //!   bias models and builds per-peer workloads, including the Zipf demand
 //!   split used in §4.1.
@@ -33,7 +35,6 @@ pub mod vocabulary;
 pub mod zipf;
 
 pub use generator::{Corpus, CorpusConfig};
-pub use pipeline::{FrequencyTable, TextPipeline};
 pub use queries::{QueryBias, QuerySampler, WorkloadBuilder};
 pub use vocabulary::{CategoryVocabulary, VocabularyBuilder};
 pub use zipf::Zipf;

@@ -1,96 +1,21 @@
-//! Text preprocessing pipeline.
+//! Text preprocessing: stop-words and stemming.
 //!
 //! The paper preprocesses its Newsgroup articles: "stop words were removed
 //! from the text, lemmatization was applied and the resulting words were
-//! sorted by frequency of appearance". This module reproduces that
-//! pipeline: a tokenizer, an English stop-word filter, a light
-//! suffix-stripping stemmer standing in for the lemmatizer, and a
-//! frequency table.
+//! sorted by frequency of appearance". This module holds the two pieces
+//! the synthetic corpus needs: an English stop-word list, which no
+//! vocabulary word may belong to, and a light suffix-stripping stemmer
+//! standing in for the lemmatizer, which names every symbol.
 
-use std::collections::HashMap;
-
-use recluster_types::{Document, Interner, Sym};
-
-/// English stop-words filtered by the pipeline (a compact list; the
-/// generator only ever emits stop-words from this set, so filtering is
-/// exact for synthetic articles and a reasonable approximation for real
-/// text).
+/// English stop-words (a compact list). Vocabulary words are never
+/// stop-words, so removing stop-words from a synthetic article leaves
+/// exactly its drawn vocabulary words.
 pub const STOPWORDS: &[&str] = &[
     "a", "an", "and", "are", "as", "at", "be", "but", "by", "for", "from", "had", "has", "have",
     "he", "her", "his", "i", "if", "in", "into", "is", "it", "its", "my", "no", "not", "of", "on",
     "or", "our", "she", "so", "that", "the", "their", "them", "then", "there", "these", "they",
     "this", "to", "was", "we", "were", "which", "will", "with", "you", "your",
 ];
-
-/// Tokenizes, filters stop-words, stems, and interns words; accumulates
-/// corpus-wide frequency statistics.
-///
-/// # Examples
-/// ```
-/// use recluster_corpus::TextPipeline;
-/// use recluster_types::Interner;
-///
-/// let mut interner = Interner::new();
-/// let mut pipeline = TextPipeline::new();
-/// let doc = pipeline.process_article(
-///     "The peers are clustering; the clusters improve recall!",
-///     &mut interner,
-/// );
-/// // "the"/"are" removed, "clustering"/"clusters" stem together.
-/// assert!(doc.len() >= 3);
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct TextPipeline {
-    stopwords: std::collections::HashSet<&'static str>,
-    frequencies: FrequencyTable,
-}
-
-impl TextPipeline {
-    /// Creates a pipeline with the standard stop-word list.
-    pub fn new() -> Self {
-        TextPipeline {
-            stopwords: STOPWORDS.iter().copied().collect(),
-            frequencies: FrequencyTable::default(),
-        }
-    }
-
-    /// Lowercases and splits raw text into alphabetic tokens.
-    pub fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
-        text.split(|c: char| !c.is_ascii_alphabetic())
-            .filter(|t| !t.is_empty())
-            .map(|t| t.to_ascii_lowercase())
-    }
-
-    /// Whether `word` (already lowercased) is a stop-word.
-    pub fn is_stopword(&self, word: &str) -> bool {
-        self.stopwords.contains(word)
-    }
-
-    /// Processes one article into a [`Document`] (set of stemmed content
-    /// words), updating the frequency table with every surviving token
-    /// occurrence.
-    pub fn process_article(&mut self, text: &str, interner: &mut Interner) -> Document {
-        let mut attrs = Vec::new();
-        for token in Self::tokenize(text) {
-            if self.is_stopword(&token) {
-                continue;
-            }
-            let stemmed = stem(&token);
-            if stemmed.is_empty() {
-                continue;
-            }
-            let sym = interner.intern(&stemmed);
-            self.frequencies.record(sym, 1);
-            attrs.push(sym);
-        }
-        Document::new(attrs)
-    }
-
-    /// The accumulated corpus-wide frequency table.
-    pub fn frequencies(&self) -> &FrequencyTable {
-        &self.frequencies
-    }
-}
 
 /// Applies a small suffix-stripping stemmer (a Porter-step-1 style
 /// lemmatizer substitute): `sses→ss`, `ies→i`, trailing `s` (but not
@@ -114,65 +39,9 @@ pub fn stem(word: &str) -> String {
     w
 }
 
-/// Counts word occurrences and reports them "sorted by frequency of
-/// appearance", as the paper's preprocessing does.
-#[derive(Debug, Default, Clone)]
-pub struct FrequencyTable {
-    counts: HashMap<Sym, u64>,
-    total: u64,
-}
-
-impl FrequencyTable {
-    /// Records `n` occurrences of `sym`.
-    pub fn record(&mut self, sym: Sym, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.counts.entry(sym).or_insert(0) += n;
-        self.total += n;
-    }
-
-    /// Occurrences of `sym`.
-    pub fn count(&self, sym: Sym) -> u64 {
-        self.counts.get(&sym).copied().unwrap_or(0)
-    }
-
-    /// Total occurrences recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of distinct words.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Words sorted by descending frequency (ties broken by symbol id so
-    /// the order is deterministic).
-    pub fn sorted_by_frequency(&self) -> Vec<(Sym, u64)> {
-        let mut v: Vec<(Sym, u64)> = self.counts.iter().map(|(&s, &n)| (s, n)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tokenize_splits_and_lowercases() {
-        let toks: Vec<_> = TextPipeline::tokenize("Hello, World! 123 foo-bar").collect();
-        assert_eq!(toks, vec!["hello", "world", "foo", "bar"]);
-    }
-
-    #[test]
-    fn stopwords_are_filtered() {
-        let p = TextPipeline::new();
-        assert!(p.is_stopword("the"));
-        assert!(p.is_stopword("and"));
-        assert!(!p.is_stopword("peer"));
-    }
 
     #[test]
     fn stem_handles_plural_forms() {
@@ -191,50 +60,5 @@ mod tests {
         // Too short to strip: "ring" keeps its suffix.
         assert_eq!(stem("ring"), "ring");
         assert_eq!(stem("ed"), "ed");
-    }
-
-    #[test]
-    fn process_article_builds_document_and_frequencies() {
-        let mut interner = Interner::new();
-        let mut p = TextPipeline::new();
-        let doc = p.process_article("The cluster clusters the clustering peers.", &mut interner);
-        // "the" removed twice; cluster/clusters/clustering all stem to "cluster".
-        let cluster = interner.get("cluster").expect("stemmed word interned");
-        let peer = interner.get("peer").expect("peer interned");
-        assert!(doc.contains(cluster));
-        assert!(doc.contains(peer));
-        assert_eq!(doc.len(), 2);
-        assert_eq!(p.frequencies().count(cluster), 3);
-        assert_eq!(p.frequencies().count(peer), 1);
-        assert_eq!(p.frequencies().total(), 4);
-    }
-
-    #[test]
-    fn frequency_table_sorts_descending() {
-        let mut t = FrequencyTable::default();
-        t.record(Sym(1), 2);
-        t.record(Sym(2), 5);
-        t.record(Sym(3), 2);
-        let sorted = t.sorted_by_frequency();
-        assert_eq!(sorted[0], (Sym(2), 5));
-        // Ties broken by symbol id.
-        assert_eq!(sorted[1], (Sym(1), 2));
-        assert_eq!(sorted[2], (Sym(3), 2));
-    }
-
-    #[test]
-    fn frequency_record_zero_is_noop() {
-        let mut t = FrequencyTable::default();
-        t.record(Sym(1), 0);
-        assert_eq!(t.distinct(), 0);
-        assert_eq!(t.total(), 0);
-    }
-
-    #[test]
-    fn empty_article_yields_empty_document() {
-        let mut interner = Interner::new();
-        let mut p = TextPipeline::new();
-        let doc = p.process_article("the of and", &mut interner);
-        assert!(doc.is_empty());
     }
 }

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 
 use recluster_types::seeded_rng;
 
-use crate::pipeline::{stem, TextPipeline};
+use crate::pipeline::{stem, STOPWORDS};
 
 const ONSETS: &[&str] = &[
     "b", "br", "c", "cr", "d", "dr", "f", "fl", "g", "gr", "h", "j", "k", "kl", "l", "m", "n", "p",
@@ -93,14 +93,13 @@ impl VocabularyBuilder {
     /// Generates the vocabularies. Deterministic for a given seed.
     pub fn build(&self) -> BuiltVocabulary {
         let mut rng = seeded_rng(self.seed);
-        let pipeline = TextPipeline::new();
         let mut used_stems: HashSet<String> = HashSet::new();
         let mut next_word = |rng: &mut rand::rngs::StdRng| -> String {
             loop {
                 let word = pseudo_word(rng);
-                // Reject stop-words and stem collisions so the pipeline is
-                // a bijection on the vocabulary.
-                if pipeline.is_stopword(&word) {
+                // Reject stop-words and stem collisions so preprocessing
+                // is a bijection on the vocabulary.
+                if STOPWORDS.contains(&word.as_str()) {
                     continue;
                 }
                 let stemmed = stem(&word);
@@ -179,7 +178,6 @@ mod tests {
 
     #[test]
     fn no_word_is_a_stopword() {
-        let p = TextPipeline::new();
         let b = VocabularyBuilder::new(3, 50, 10, 4).build();
         for w in b
             .categories
@@ -187,7 +185,7 @@ mod tests {
             .flat_map(|c| c.words.iter())
             .chain(b.shared.iter())
         {
-            assert!(!p.is_stopword(w), "{w} is a stop-word");
+            assert!(!STOPWORDS.contains(&w.as_str()), "{w} is a stop-word");
         }
     }
 
@@ -208,11 +206,18 @@ mod tests {
 
     #[test]
     fn words_survive_the_pipeline_unsplit() {
-        // Every pseudo-word must be a single alphabetic token.
+        // Every category and shared word is one lowercase alphabetic token.
         let b = VocabularyBuilder::new(2, 30, 5, 5).build();
-        for w in b.categories.iter().flat_map(|c| c.words.iter()) {
-            let toks: Vec<_> = TextPipeline::tokenize(w).collect();
-            assert_eq!(toks, vec![w.clone()]);
+        for w in b
+            .categories
+            .iter()
+            .flat_map(|c| c.words.iter())
+            .chain(b.shared.iter())
+        {
+            assert!(
+                !w.is_empty() && w.bytes().all(|c| c.is_ascii_lowercase()),
+                "{w}"
+            );
         }
     }
 }

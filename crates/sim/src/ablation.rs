@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over four design choices of the cost model and protocol:
 //!
 //! * `θ` shape — the paper motivates linear vs. logarithmic `θ`
 //!   (fully-connected vs. structured intra-cluster topology, §2.1) but

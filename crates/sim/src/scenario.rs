@@ -289,6 +289,37 @@ pub struct TestBed {
 /// # Panics
 /// Panics if `n_peers` is not divisible by `n_categories`.
 pub fn build_system(scenario: Scenario, init: InitialConfig, cfg: &ExperimentConfig) -> TestBed {
+    assemble_testbed(scenario, cfg, |_| {
+        build_initial_overlay(scenario, init, cfg)
+    })
+}
+
+/// Builds the "good" configuration the §4.2 experiments start from: the
+/// scenario-1 testbed with the ideal clustering (cluster `k` = all peers
+/// of category `k`) and uniform demand, per the paper's setup.
+///
+/// # Panics
+/// Panics if `n_peers` is not divisible by `n_categories`.
+pub fn ideal_scenario1_system(cfg: &ExperimentConfig) -> TestBed {
+    let mut cfg = cfg.clone();
+    cfg.demand = DemandSplit::Uniform;
+    assemble_testbed(Scenario::SameCategory, &cfg, |peer_category| {
+        let mut overlay = Overlay::unassigned(cfg.n_peers);
+        for (i, &cat) in peer_category.iter().enumerate() {
+            overlay.assign(PeerId::from_index(i), ClusterId::from_index(cat));
+        }
+        overlay
+    })
+}
+
+/// Generates the corpus, distributes content, builds the workloads and
+/// assembles the system over the overlay `overlay` builds from each
+/// peer's data category.
+fn assemble_testbed(
+    scenario: Scenario,
+    cfg: &ExperimentConfig,
+    overlay: impl FnOnce(&[usize]) -> Overlay,
+) -> TestBed {
     assert_eq!(
         cfg.n_peers % cfg.n_categories,
         0,
@@ -298,9 +329,8 @@ pub fn build_system(scenario: Scenario, init: InitialConfig, cfg: &ExperimentCon
     let (store, peer_category, holdout) = distribute_content(scenario, cfg, &corpus);
     let (workloads, query_category, demand) =
         build_workloads(scenario, cfg, &corpus, &peer_category);
-    let overlay = build_initial_overlay(scenario, init, cfg);
     let system = System::new(
-        overlay,
+        overlay(&peer_category),
         store,
         workloads,
         GameConfig {
@@ -315,41 +345,6 @@ pub fn build_system(scenario: Scenario, init: InitialConfig, cfg: &ExperimentCon
         query_category,
         holdout,
         m_optimal: cfg.m_optimal(scenario),
-        demand,
-        distributable_per_category: cfg.peers_per_category() * cfg.docs_per_peer,
-    }
-}
-
-/// Builds the "good" configuration the §4.2 experiments start from: the
-/// scenario-1 testbed with the ideal clustering (cluster `k` = all peers
-/// of category `k`) and uniform demand, per the paper's setup.
-pub fn ideal_scenario1_system(cfg: &ExperimentConfig) -> TestBed {
-    let mut cfg = cfg.clone();
-    cfg.demand = DemandSplit::Uniform;
-    let corpus = Corpus::generate(cfg.corpus_config());
-    let (store, peer_category, holdout) = distribute_content(Scenario::SameCategory, &cfg, &corpus);
-    let (workloads, query_category, demand) =
-        build_workloads(Scenario::SameCategory, &cfg, &corpus, &peer_category);
-    let mut overlay = Overlay::unassigned(cfg.n_peers);
-    for (i, &cat) in peer_category.iter().enumerate() {
-        overlay.assign(PeerId::from_index(i), ClusterId::from_index(cat));
-    }
-    let system = System::new(
-        overlay,
-        store,
-        workloads,
-        GameConfig {
-            alpha: cfg.alpha,
-            theta: cfg.theta,
-        },
-    );
-    TestBed {
-        system,
-        corpus,
-        peer_category,
-        query_category,
-        holdout,
-        m_optimal: cfg.m_optimal(Scenario::SameCategory),
         demand,
         distributable_per_category: cfg.peers_per_category() * cfg.docs_per_peer,
     }
@@ -669,5 +664,13 @@ mod tests {
         let mut cfg = ExperimentConfig::small(11);
         cfg.n_peers = 41;
         let _ = build_system(Scenario::SameCategory, InitialConfig::Singletons, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "divide evenly")]
+    fn ideal_testbed_rejects_indivisible_peers() {
+        let mut cfg = ExperimentConfig::small(11);
+        cfg.n_peers = 41;
+        let _ = ideal_scenario1_system(&cfg);
     }
 }
