@@ -9,7 +9,7 @@
 //! * deterministic metrics (average per-period repaired cost, query
 //!   messages per period, forwards per query, total relocations) are
 //!   seeded and machine-independent — any drift is a real regression of
-//!   routing precision or protocol quality, gated hard at 2×;
+//!   routing precision or protocol quality, gated exactly;
 //! * the wall-clock seconds of the whole run are recorded into the
 //!   `BENCH_pr.json` artifact for trend-watching but deliberately kept
 //!   *out* of the committed baseline: a 15 s single-shot measured on

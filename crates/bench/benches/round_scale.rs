@@ -5,7 +5,7 @@
 //! recomputed (the per-round dirty-peer count) vs. proposals served
 //! from the [`ProposalMemo`], plus rounds and moves. The counts are
 //! machine-independent: any drift means the memo's validity gate or the
-//! protocol itself changed behaviour, gated hard at 2×. Wall-clock
+//! protocol itself changed behaviour, gated exactly. Wall-clock
 //! seconds are recorded for the artifact's timing history only (never
 //! added to the committed baseline).
 //!

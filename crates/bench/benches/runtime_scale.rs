@@ -11,7 +11,7 @@
 //! (the partition-tolerant paths: cut/crash attribution and post-heal
 //! repair traffic). The counts are seeded and machine-independent: any
 //! drift means the scheduler, the state machines or the protocol itself
-//! changed behaviour, gated hard at 2×. Wall-clock seconds are recorded
+//! changed behaviour, gated exactly. Wall-clock seconds are recorded
 //! for the artifact's timing history only (never added to the committed
 //! baseline).
 

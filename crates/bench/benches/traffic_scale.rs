@@ -9,7 +9,7 @@
 //!   query, false-negative rate, total queries/moves, batched summary
 //!   messages) are seeded and machine-independent — drift is a real
 //!   regression of routing precision, batching correctness or protocol
-//!   quality, gated hard at 2×;
+//!   quality, gated exactly;
 //! * `seconds_per_mquery` is the committed throughput gate: the
 //!   wall-clock cost of serving one million occurrences, a *seconds*
 //!   unit so `bench-trend compare` applies the lenient 4× time factor.

@@ -9,6 +9,11 @@
 //! output is identical to the sequential order regardless of
 //! scheduling. That is the determinism contract the sweep runners in
 //! `recluster-sim` build on.
+//!
+//! Each item costs one `Mutex` plus its share of the final index sort,
+//! so items should be coarse (a sweep cell, a range of peers). Bulk
+//! per-index walks go through `recluster_core::shard::map_ranges`,
+//! which maps contiguous ranges rather than single indices.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -24,6 +24,13 @@
 //! are intentionally out of scope: the workspace fans out coarse,
 //! independent scenario cells where a shared atomic cursor is within
 //! noise of a stealing deque.
+//!
+//! Per-item dispatch is not free: every item sits behind its own
+//! `Mutex`, is claimed with a shared atomic `fetch_add`, and the
+//! results are sorted back by index. That suits coarse items such as
+//! sweep cells; a bulk per-index walk over 10⁴–10⁶ peers belongs in
+//! `recluster_core::shard::map_ranges`, which hands this shim a few
+//! contiguous ranges per worker instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -38,8 +38,8 @@
 //!   `ε`-threshold stop condition, and empty/new-cluster handling.
 //! * [`shard`] — contiguous-range fan-out of bulk per-slot walks over
 //!   the rayon shim with index-order merge, byte-identical to the
-//!   sequential walk (the flush/tracker sharding of the million-peer
-//!   churn path).
+//!   sequential walk (the cost-cache flush, the tracker's period walk
+//!   and the protocol's phase 1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,8 +69,8 @@ pub use protocol::runtime::{
     PartitionKind, PeerStateMachine, ReportPlan, RuntimeChurn, RuntimeEngine, SimNet,
 };
 pub use protocol::{
-    EmptyTargetPolicy, ProposalMemo, ProtocolConfig, ProtocolConfigBuilder, ProtocolEngine,
-    RelocationRequest, RoundOutcome, RunOutcome,
+    EmptyTargetPolicy, MemoMisses, MissReason, ProposalMemo, ProtocolConfig, ProtocolConfigBuilder,
+    ProtocolEngine, RelocationRequest, RoundOutcome, RunOutcome,
 };
 pub use recall::RecallIndex;
 pub use strategy::{

@@ -7,22 +7,25 @@
 //!
 //! Phase 1 is a pure read of global state: the engine builds one
 //! [`SystemView`] per round (flushing the cost cache exactly once), then
-//! computes every peer's proposal against it — sharded across the rayon
-//! shim's workers when the system is large and the strategy's `propose`
-//! is pure, merged back in peer order so the parallel round is
-//! **byte-identical** to the sequential one (asserted in
-//! `crates/sim/tests/determinism.rs`). Proposals of
+//! computes every peer's proposal against it — fanned over contiguous
+//! peer ranges by [`crate::shard::map_ranges`] when the system is large
+//! and the strategy's `propose` is pure, concatenated back in peer
+//! order so the parallel round is **byte-identical** to the sequential
+//! one (asserted in `crates/sim/tests/determinism.rs` and
+//! `crates/core/tests/prop_sharded_flush.rs`). Proposals of
 //! [`memoizable`](RelocationStrategy::memoizable) strategies are
 //! additionally memoized across rounds through a [`ProposalMemo`]:
 //! peers whose epoch stamps did not move re-emit their previous
-//! proposal in O(1).
+//! proposal in O(1), and every miss is tallied by the gate condition
+//! it failed ([`MemoMisses`]).
 
-use rayon::prelude::*;
+use std::ops::Range;
+
 use recluster_overlay::{MsgKind, SimNetwork};
 use recluster_types::{ClusterId, PeerId};
 
 use crate::global::{scost_normalized, wcost_normalized};
-use crate::protocol::memo::ProposalMemo;
+use crate::protocol::memo::{MemoMisses, MissReason, ProposalMemo};
 use crate::protocol::{
     apply_policy, base_allow_empty, fold_min_costs, grant_requests, select_request, ProtocolConfig,
     RelocationRequest,
@@ -52,6 +55,11 @@ pub struct RoundOutcome {
     pub proposals_recomputed: usize,
     /// Phase-1 proposals re-emitted from the memo without recomputation.
     pub proposals_memoized: usize,
+    /// The memo misses behind `proposals_recomputed`, by the gate
+    /// condition each failed (all zero when the memo is off or the
+    /// strategy is not memoizable). Diagnostics only: no digest,
+    /// golden or report reads it.
+    pub memo_misses: MemoMisses,
 }
 
 /// The result of a full protocol run.
@@ -168,19 +176,20 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
     }
 
     /// Phase 1 against a snapshot: every live peer's raw proposal —
-    /// memo hits re-emitted, misses recomputed (sharded by peer range
-    /// across the rayon shim when the peer count reaches the bulk-walk
-    /// threshold of [`crate::shard::should_shard`] and the strategy's
-    /// `propose` is pure; the index-order merge makes the
-    /// sharded result byte-identical to the sequential one) — then the
-    /// per-cluster representative selection and message charging in
-    /// exactly the sequential order. Returns the forwarded requests and
-    /// the (recomputed, memoized) proposal counts.
+    /// memo hits re-emitted, misses recomputed (fanned over contiguous
+    /// peer ranges by [`crate::shard::map_ranges`] when the peer count
+    /// reaches the bulk-walk threshold of [`crate::shard::should_shard`]
+    /// and the strategy's `propose` is pure; concatenating the ranges
+    /// in order makes the sharded result byte-identical to the
+    /// sequential one) — then the per-cluster representative selection
+    /// and message charging in exactly the sequential order. Returns
+    /// the forwarded requests, the (recomputed, memoized) proposal
+    /// counts and the misses by gate condition.
     fn phase1(
         &mut self,
         view: &SystemView<'_>,
         net: &mut SimNetwork,
-    ) -> (Vec<RelocationRequest>, usize, usize) {
+    ) -> (Vec<RelocationRequest>, usize, usize, MemoMisses) {
         let allow_empty = base_allow_empty(&self.config);
         let non_empty: Vec<ClusterId> = view.overlay().non_empty_ids().to_vec();
         // The flattened gain-report order: clusters ascending, members
@@ -199,42 +208,47 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         }
         let memo = &self.memo;
         let strategy = &self.strategy;
-        // A `None` chain marks a memo hit; `Some(chain)` a recomputed
-        // proposal to be stored below.
-        let compute = |&peer: &PeerId| -> (Option<Proposal>, Option<ChainInfo>) {
-            if memo_on {
-                if let Some(hit) = memo.lookup(view, peer) {
-                    return (hit, None);
+        // A `None` second field marks a memo hit (or an unmemoized
+        // proposal); `Some((reason, chain))` a recomputed proposal to be
+        // stored below.
+        type Raw = (Option<Proposal>, Option<(MissReason, ChainInfo)>);
+        let compute = |&peer: &PeerId| -> Raw {
+            if !memo_on {
+                return (strategy.propose(view, peer, allow_empty), None);
+            }
+            match memo.lookup(view, peer) {
+                Ok(hit) => (hit, None),
+                Err(reason) => {
+                    let (proposal, chain) = strategy.propose_traced(view, peer, allow_empty);
+                    (proposal, Some((reason, chain)))
                 }
-                let (proposal, chain) = strategy.propose_traced(view, peer, allow_empty);
-                (proposal, Some(chain))
-            } else {
-                (strategy.propose(view, peer, allow_empty), None)
             }
         };
+        let map_range = |range: Range<usize>| peers[range].iter().map(compute).collect::<Vec<_>>();
         let sharded = self.strategy.sharded_phase1() && crate::shard::should_shard(peers.len());
-        let mut raw: Vec<(Option<Proposal>, Option<ChainInfo>)> = if sharded {
-            peers.par_iter().map(compute).collect()
+        let mut raw: Vec<Raw> = if sharded {
+            let mut raw = Vec::with_capacity(peers.len());
+            for part in crate::shard::map_ranges(peers.len(), map_range) {
+                raw.extend(part);
+            }
+            raw
         } else {
-            peers.iter().map(compute).collect()
+            map_range(0..peers.len())
         };
 
         // Write recomputed proposals back into the memo and tally.
-        let mut recomputed = 0;
-        let mut memoized = 0;
-        if memo_on {
+        let mut misses = MemoMisses::default();
+        let (recomputed, memoized) = if memo_on {
             for (&peer, slot) in peers.iter().zip(raw.iter_mut()) {
-                match slot.1.take() {
-                    Some(chain) => {
-                        recomputed += 1;
-                        self.memo.store(view, peer, allow_empty, slot.0, chain);
-                    }
-                    None => memoized += 1,
+                if let Some((reason, chain)) = slot.1.take() {
+                    misses.record(reason);
+                    self.memo.store(view, peer, allow_empty, slot.0, chain);
                 }
             }
+            (misses.total(), peers.len() - misses.total())
         } else {
-            recomputed = peers.len();
-        }
+            (peers.len(), 0)
+        };
 
         // Per-cluster representative selection, in the exact order (and
         // with the exact message charges) of the sequential protocol.
@@ -268,7 +282,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
                 None => net.send_many(MsgKind::Heartbeat, 8, fanout),
             }
         }
-        (requests, recomputed, memoized)
+        (requests, recomputed, memoized, misses)
     }
 
     /// Executes one round. Returns the outcome; an empty `requests` list
@@ -284,7 +298,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         // ---- Phase 1: pure reads against one snapshot. --------------
         // `view()` flushes the cost cache exactly once; everything after
         // is `&self` with no interior mutability, safe to shard.
-        let (mut requests, recomputed, memoized) = {
+        let (mut requests, recomputed, memoized, memo_misses) = {
             let view = system.view();
             fold_min_costs(&view, &mut self.min_costs, &[]);
             self.phase1(&view, net)
@@ -316,6 +330,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
             non_empty_clusters: view.overlay().non_empty_clusters(),
             proposals_recomputed: recomputed,
             proposals_memoized: memoized,
+            memo_misses,
         }
     }
 

@@ -42,6 +42,9 @@
 //! 5. every cluster in `D` *fails* a fresh take test against `γ`:
 //!    `pcost(p, c) ≥ γ − COST_EPS`.
 //!
+//! A miss reports the first condition that failed as a [`MissReason`];
+//! the engine tallies them per round into [`MemoMisses`].
+//!
 //! # Why a hit is bit-identical to recomputing
 //!
 //! Under (2) a fresh scan visits the same candidates at the same
@@ -99,6 +102,66 @@ use crate::view::SystemView;
 /// only fires in genuinely turbulent rounds where hit rates would be
 /// poor anyway.
 const MAX_CHANGED: usize = 16;
+
+/// Why [`ProposalMemo::lookup`] could not serve a peer: the first gate
+/// condition (numbered as in the module doc) its entry failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MissReason {
+    /// (1) The round is wholesale-stale, the view is another lineage,
+    /// or no entry is stored for the peer.
+    Stale,
+    /// (2) The entry's candidate-sequence version or `allow_empty`
+    /// differs from the round's.
+    Sequence,
+    /// (3) The peer's cost-cache mark counters moved.
+    Marks,
+    /// (3) The peer's current cluster is in `D`.
+    OwnCluster,
+    /// (4) A cluster of the stored take chain is in `D` (an unknown
+    /// chain counts as meeting any non-empty `D`).
+    Chain,
+    /// (5) A cluster of `D` newly passes the take test against `γ`.
+    Take,
+}
+
+/// Phase-1 memo misses of one round, tallied by [`MissReason`].
+/// Deterministic (a pure function of the round's inputs), but
+/// diagnostics only: no digest, golden or report reads it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoMisses {
+    /// Misses on [`MissReason::Stale`].
+    pub stale: usize,
+    /// Misses on [`MissReason::Sequence`].
+    pub sequence: usize,
+    /// Misses on [`MissReason::Marks`].
+    pub marks: usize,
+    /// Misses on [`MissReason::OwnCluster`].
+    pub own_cluster: usize,
+    /// Misses on [`MissReason::Chain`].
+    pub chain: usize,
+    /// Misses on [`MissReason::Take`].
+    pub take: usize,
+}
+
+impl MemoMisses {
+    /// Counts one miss.
+    pub fn record(&mut self, reason: MissReason) {
+        let count = match reason {
+            MissReason::Stale => &mut self.stale,
+            MissReason::Sequence => &mut self.sequence,
+            MissReason::Marks => &mut self.marks,
+            MissReason::OwnCluster => &mut self.own_cluster,
+            MissReason::Chain => &mut self.chain,
+            MissReason::Take => &mut self.take,
+        };
+        *count += 1;
+    }
+
+    /// All misses of the round.
+    pub fn total(&self) -> usize {
+        self.stale + self.sequence + self.marks + self.own_cluster + self.chain + self.take
+    }
+}
 
 /// One peer's memoized proposal plus the stamps it is valid under.
 #[derive(Debug, Clone)]
@@ -250,42 +313,47 @@ impl ProposalMemo {
     }
 
     /// Looks up `peer`'s memoized proposal under the gate opened by the
-    /// round's [`begin_round`](Self::begin_round). `Some(proposal)`
-    /// means re-emitting it is bit-identical to recomputing; `None`
-    /// means the caller must recompute (and [`store`](Self::store) the
-    /// result). Takes `&self` — safe to call concurrently from the
-    /// sharded phase 1.
-    pub fn lookup(&self, view: &SystemView<'_>, peer: PeerId) -> Option<Option<Proposal>> {
+    /// round's [`begin_round`](Self::begin_round). `Ok(proposal)` means
+    /// re-emitting it is bit-identical to recomputing; `Err(reason)`
+    /// names the first gate condition the entry failed, and the caller
+    /// must recompute (and [`store`](Self::store) the result). Takes
+    /// `&self` — safe to call concurrently from the sharded phase 1.
+    pub fn lookup(
+        &self,
+        view: &SystemView<'_>,
+        peer: PeerId,
+    ) -> Result<Option<Proposal>, MissReason> {
         if self.all_stale || self.system_id != view.epochs().system_id() {
-            return None;
+            return Err(MissReason::Stale);
         }
-        let e = self.entries.get(peer.index())?;
-        if !e.occupied
-            || e.allow_empty != self.last_allow_empty
-            || e.cand_version != self.cand_version
-        {
-            return None;
+        let e = match self.entries.get(peer.index()) {
+            Some(e) if e.occupied => e,
+            _ => return Err(MissReason::Stale),
+        };
+        if e.allow_empty != self.last_allow_empty || e.cand_version != self.cand_version {
+            return Err(MissReason::Sequence);
         }
         let cache = view.cost_cache();
         if e.slot_marks != cache.slot_marks(peer.index()) || e.all_marks != cache.all_marks() {
-            return None;
+            return Err(MissReason::Marks);
         }
         // Gate conditions over the changed set D (empty after a quiet
-        // round — every check below short-circuits to a hit).
-        let current = view.overlay().cluster_of(peer)?;
+        // round — every check below short-circuits to a hit). A departed
+        // peer has no current cluster and nothing to validate.
+        let current = view.overlay().cluster_of(peer).ok_or(MissReason::Stale)?;
         if sorted_contains(&self.changed, current) {
-            return None;
+            return Err(MissReason::OwnCluster);
         }
         match &e.chain {
             ChainInfo::Unknown => {
                 // No trace: only a fully unchanged candidate set is safe.
                 if !self.changed.is_empty() {
-                    return None;
+                    return Err(MissReason::Chain);
                 }
             }
             ChainInfo::Known(chain) => {
                 if chain.iter().any(|&c| sorted_contains(&self.changed, c)) {
-                    return None;
+                    return Err(MissReason::Chain);
                 }
                 if !self.changed.is_empty() {
                     // Re-test every changed cluster against the peer's
@@ -307,13 +375,13 @@ impl ProposalMemo {
                             membership_cost(view, peer, c) + view.cost_cache().away_of(peer)
                         };
                         if cost < gamma - COST_EPS {
-                            return None;
+                            return Err(MissReason::Take);
                         }
                     }
                 }
             }
         }
-        Some(e.proposal)
+        Ok(e.proposal)
     }
 
     /// Stores a freshly computed proposal (and its scan chain) with the
@@ -415,7 +483,7 @@ mod tests {
         let mut memo = ProposalMemo::new();
         let fresh = prime(&mut memo, &mut sys, PeerId(0));
         memo.begin_round(&sys.view(), true);
-        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), Some(fresh));
+        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), Ok(fresh));
     }
 
     #[test]
@@ -429,7 +497,7 @@ mod tests {
         // *on* p0's chain — the fine gate must miss.
         sys.move_peer(PeerId(2), ClusterId(1));
         memo.begin_round(&sys.view(), true);
-        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), None);
+        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), Err(MissReason::Chain));
     }
 
     #[test]
@@ -463,7 +531,7 @@ mod tests {
         memo.begin_round(&sys.view(), true);
         assert_eq!(
             memo.lookup(&sys.view(), PeerId(0)),
-            Some(Some(fresh)),
+            Ok(Some(fresh)),
             "changes off the chain that do not undercut γ must not evict"
         );
         // And the hit is honest: recomputing agrees.
@@ -511,7 +579,7 @@ mod tests {
         memo.begin_round(&sys.view(), true);
         assert_eq!(
             memo.lookup(&sys.view(), PeerId(0)),
-            None,
+            Err(MissReason::Take),
             "the cost re-check must evict: c1 newly undercuts"
         );
         let (recomputed, _) = traced_proposal(&mut sys, PeerId(0));
@@ -532,7 +600,7 @@ mod tests {
         w.add(Query::keyword(Sym(2)), 1);
         sys.set_workload(PeerId(0), w);
         memo.begin_round(&sys.view(), true);
-        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), None);
+        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), Err(MissReason::Marks));
         // …and the fresh proposal differs (the peer now wants p2's
         // cluster), which is exactly why the gate had to fire.
         let (after, _) = traced_proposal(&mut sys, PeerId(0));
@@ -548,7 +616,7 @@ mod tests {
         memo.begin_round(&sys.view(), false);
         assert_eq!(
             memo.lookup(&sys.view(), PeerId(0)),
-            None,
+            Err(MissReason::Sequence),
             "a proposal computed with empty targets must not serve a round without them"
         );
     }
@@ -565,11 +633,14 @@ mod tests {
         let fresh = prime(&mut memo, &mut sys_a, PeerId(0));
         let mut sys_b = fixture();
         memo.begin_round(&sys_b.view(), true);
-        assert_eq!(memo.lookup(&sys_b.view(), PeerId(0)), None);
+        assert_eq!(
+            memo.lookup(&sys_b.view(), PeerId(0)),
+            Err(MissReason::Stale)
+        );
         // Storing against the new lineage adopts it and works normally.
         memo.store(&sys_b.view(), PeerId(0), true, None, ChainInfo::Unknown);
         memo.begin_round(&sys_b.view(), true);
-        assert_eq!(memo.lookup(&sys_b.view(), PeerId(0)), Some(None));
+        assert_eq!(memo.lookup(&sys_b.view(), PeerId(0)), Ok(None));
         // ...and a clone forks a *fresh* lineage too: after the fork the
         // two histories diverge with independently advancing clocks, so
         // stamps taken on one must never validate against the other.
@@ -579,7 +650,10 @@ mod tests {
         let (_, chain) = traced_proposal(&mut sys_a, PeerId(0));
         memo2.store(&sys_a.view(), PeerId(0), true, fresh, chain);
         memo2.begin_round(&clone.view(), true);
-        assert_eq!(memo2.lookup(&clone.view(), PeerId(0)), None);
+        assert_eq!(
+            memo2.lookup(&clone.view(), PeerId(0)),
+            Err(MissReason::Stale)
+        );
     }
 
     #[test]
@@ -587,7 +661,7 @@ mod tests {
         let mut sys = fixture();
         let mut memo = ProposalMemo::new();
         memo.begin_round(&sys.view(), true);
-        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), None);
+        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), Err(MissReason::Stale));
     }
 
     #[test]
@@ -598,11 +672,11 @@ mod tests {
         memo.store(&sys.view(), PeerId(0), true, None, ChainInfo::Unknown);
         // Quiet round: Unknown-chain entries still hit.
         memo.begin_round(&sys.view(), true);
-        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), Some(None));
+        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), Ok(None));
         // Any candidate change: Unknown-chain entries miss wholesale,
         // even when the change is provably irrelevant to the peer.
         sys.move_peer(PeerId(2), ClusterId(1));
         memo.begin_round(&sys.view(), true);
-        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), None);
+        assert_eq!(memo.lookup(&sys.view(), PeerId(0)), Err(MissReason::Chain));
     }
 }

@@ -782,6 +782,7 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
             non_empty_clusters: view.overlay().non_empty_clusters(),
             proposals_recomputed: n_live,
             proposals_memoized: 0,
+            memo_misses: Default::default(),
         }
     }
 

@@ -1,28 +1,29 @@
 //! Peer-range sharding of bulk walks.
 //!
-//! The 100k profile shows two single-threaded hot paths once phase 1 is
-//! parallel: large `CostCache` dirty-set flushes after a churn batch,
-//! and the tracker's per-period walk. Both are *pure per-index maps* —
-//! every output depends only on its own slot/query plus shared
-//! read-only state — so they can be fanned over contiguous index ranges
-//! and merged back **in index order**, making the parallel result
-//! byte-identical to the sequential walk no matter how the OS schedules
-//! the workers (the same contract the phase-1 fan-out already keeps;
-//! `prop_sharded_flush` and the CI 1/2/8-thread determinism matrix hold
-//! it).
+//! Every O(peers) or O(queries) bulk walk of a round — the `CostCache`
+//! dirty-set flush and wholesale rebuild, the tracker's per-period
+//! query walk, and the protocol engine's phase-1 proposal fan-out — is
+//! a *pure per-index map*: every output depends only on its own
+//! slot/query/peer plus shared read-only state. Such a walk is fanned
+//! over contiguous index ranges and merged back **in index order**,
+//! making the parallel result byte-identical to the sequential walk no
+//! matter how the OS schedules the workers (`prop_sharded_flush` and
+//! the CI 1/2/8-thread determinism matrix hold it).
 //!
 //! [`map_ranges`] is the one primitive: split `0..len` into contiguous
 //! ranges (a few per worker), run the range closure on the rayon shim's
 //! pool, concatenate range results in range order. Because ranges are
 //! contiguous and ascending, concatenation *is* index order — the chunk
 //! count (which varies with the worker count) can never reach the
-//! output bytes.
+//! output bytes. A few dozen coarse ranges, not one shim work item per
+//! index, also keep the shim's per-item `Mutex` and index sort off
+//! the hot path.
 //!
 //! Sharding engages only when the walk is at least
 //! [`shard_min`] items long (`RECLUSTER_SHARD_MIN`, default 4096):
-//! below that the scoped-thread setup costs more than the walk. The
-//! protocol engine's phase-1 proposal fan-out takes the same decision
-//! through [`should_shard`].
+//! below that the scoped-thread setup costs more than the walk. Every
+//! caller, phase 1 included, takes that decision through
+//! [`should_shard`] and then calls [`map_ranges`].
 
 use std::ops::Range;
 use std::sync::OnceLock;

@@ -14,7 +14,12 @@
 //!    result counts from the recall index instead of walking members,
 //!    charges the same per-kind ledger and reports the same routing
 //!    report and histogram as the observing walk, after every op, in
-//!    every routing mode, sharded or not.
+//!    every routing mode, sharded or not, and
+//! 4. a selfish [`ProtocolEngine`] round whose phase 1 is fanned over
+//!    peer ranges forwards the same requests, grants the same moves and
+//!    reaches the same costs and memo counts as the sequential round,
+//!    bit for bit, under pinned 1-, 2- and 8-thread pools — on systems
+//!    small enough that range boundaries fall inside clusters.
 //!
 //! This is the contract that lets the million-peer churn path fan its
 //! two remaining single-threaded hot loops across cores without the
@@ -27,7 +32,10 @@ use common::{apply, arb_ops, arb_seed_syms, fixture};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 use recluster_core::shard::set_shard_min_override;
-use recluster_core::{simulate_period, simulate_period_traffic, System};
+use recluster_core::{
+    simulate_period, simulate_period_traffic, MemoMisses, ProtocolConfig, ProtocolEngine,
+    RelocationRequest, RoundOutcome, SelfishStrategy, System,
+};
 use recluster_overlay::{MsgKind, RoutingMode, SimNetwork, SummaryMode};
 use recluster_types::PeerId;
 
@@ -60,6 +68,45 @@ fn flush_columns(sys: &System) -> Vec<(u64, u64, u64)> {
                 cache.away_of(p).to_bits(),
             )
         })
+        .collect()
+}
+
+/// A request as `(src, dst, peer, gain bits)`.
+type RequestBits = (u32, u32, u32, u64);
+
+/// Bit-comparable form of a round: requests, grants, scost and wcost
+/// bits, the recomputed and memoized proposal counts, the memo misses.
+type RoundBits = (
+    Vec<RequestBits>,
+    Vec<RequestBits>,
+    (u64, u64),
+    (usize, usize),
+    MemoMisses,
+);
+
+fn round_bits(r: &RoundOutcome) -> RoundBits {
+    let reqs = |list: &[RelocationRequest]| {
+        list.iter()
+            .map(|q| (q.src.0, q.dst.0, q.peer.0, q.gain.to_bits()))
+            .collect()
+    };
+    (
+        reqs(&r.requests),
+        reqs(&r.granted),
+        (r.scost.to_bits(), r.wcost.to_bits()),
+        (r.proposals_recomputed, r.proposals_memoized),
+        r.memo_misses,
+    )
+}
+
+/// Runs three selfish protocol rounds on a clone of `sys` with a fresh
+/// engine (so rounds 1 and 2 exercise the memo) and returns their bits.
+fn three_rounds(sys: &System) -> Vec<RoundBits> {
+    let mut sys = sys.clone();
+    let mut net = SimNetwork::new();
+    let mut engine = ProtocolEngine::new(SelfishStrategy, ProtocolConfig::default());
+    (0..3)
+        .map(|round| round_bits(&engine.run_round(&mut sys, &mut net, round)))
         .collect()
 }
 
@@ -173,6 +220,35 @@ proptest! {
                         );
                     }
                 }
+            }
+        }
+        set_shard_min_override(None);
+    }
+
+    /// Phase 1 fanned over peer ranges equals the sequential phase 1:
+    /// after every op, three selfish rounds on a clone agree bit for
+    /// bit with sharding forced off and forced on under pinned 1/2/8-
+    /// thread pools.
+    #[test]
+    fn ranged_phase1_equals_sequential(
+        docs in arb_seed_syms(),
+        queries in arb_seed_syms(),
+        ops in arb_ops(30),
+    ) {
+        let mut sys = fixture(&docs, &queries);
+        let mut net = SimNetwork::new();
+        for op in ops {
+            apply(&mut sys, &mut net, op);
+            set_shard_min_override(Some(usize::MAX));
+            let seq = three_rounds(&sys);
+            set_shard_min_override(Some(1));
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("shim pool build never fails");
+                let par = pool.install(|| three_rounds(&sys));
+                prop_assert_eq!(&seq, &par, "protocol rounds, {} threads", threads);
             }
         }
         set_shard_min_override(None);

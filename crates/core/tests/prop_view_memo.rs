@@ -137,7 +137,7 @@ proptest! {
             for &p in &peers {
                 let (fresh, chain) = SelfishStrategy.propose_traced(&view, p, true);
                 match memo.lookup(&view, p) {
-                    Some(hit) => {
+                    Ok(hit) => {
                         hits += 1;
                         prop_assert_eq!(
                             bits(hit),
@@ -146,7 +146,7 @@ proptest! {
                             p
                         );
                     }
-                    None => memo.store(&view, p, true, fresh, chain),
+                    Err(_) => memo.store(&view, p, true, fresh, chain),
                 }
                 checks += 1;
             }

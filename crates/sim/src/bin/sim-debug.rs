@@ -1,7 +1,8 @@
 //! Developer diagnostics: prints the dynamics of the miniature
 //! 40-peer testbed — Table 1 cells across every initial configuration,
-//! a fig-1 cost series, fig-2/3 update points and a full per-round
-//! altruistic protocol trace.
+//! a fig-1 cost series, fig-2/3 update points, a full per-round
+//! altruistic protocol trace and a per-round selfish trace of the
+//! proposal memo's hits and misses by gate condition.
 //!
 //! Not part of the reproduction surface — see `recluster-bench` for the
 //! paper's tables and figures, and the `traffic_demo` bin for the
@@ -111,17 +112,18 @@ fn main() {
     );
 
     println!("== altruistic random-M trace ==");
+    let trace_config = ProtocolConfig::builder()
+        .epsilon(1e-3)
+        .max_rounds(30)
+        .empty_targets(EmptyTargetPolicy::Always)
+        .use_locks(true)
+        .build();
     let mut tb = build_system(Scenario::SameCategory, InitialConfig::RandomM, &cfg);
     let mut net = SimNetwork::new();
     let outcome = run_protocol(
         &mut tb.system,
         StrategyKind::Altruistic,
-        ProtocolConfig::builder()
-            .epsilon(1e-3)
-            .max_rounds(30)
-            .empty_targets(EmptyTargetPolicy::Always)
-            .use_locks(true)
-            .build(),
+        trace_config,
         &mut net,
     );
     for r in outcome.rounds.iter() {
@@ -132,6 +134,35 @@ fn main() {
             r.granted.len(),
             r.scost,
             r.non_empty_clusters
+        );
+    }
+
+    // Only the selfish strategy memoizes, so the miss reasons are
+    // traced on a selfish run of the same start.
+    println!("== selfish random-M memo trace ==");
+    let mut tb = build_system(Scenario::SameCategory, InitialConfig::RandomM, &cfg);
+    let mut net = SimNetwork::new();
+    let outcome = run_protocol(
+        &mut tb.system,
+        StrategyKind::Selfish,
+        trace_config,
+        &mut net,
+    );
+    for r in outcome.rounds.iter() {
+        let m = r.memo_misses;
+        println!(
+            "  round {}: granted={} memoized={} recomputed={} \
+             (stale={} sequence={} marks={} own_cluster={} chain={} take={})",
+            r.round,
+            r.granted.len(),
+            r.proposals_memoized,
+            r.proposals_recomputed,
+            m.stale,
+            m.sequence,
+            m.marks,
+            m.own_cluster,
+            m.chain,
+            m.take
         );
     }
 
