@@ -1,4 +1,4 @@
-//! Criterion: cost of building and refreshing the recall index — the
+//! Criterion: cost of building the recall index and rebuilding its masses — the
 //! precomputation behind every `pcost` evaluation (§2's `r(q, p)`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -25,8 +25,8 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_refresh_mass(c: &mut Criterion) {
-    let mut group = c.benchmark_group("recall_index/refresh_mass");
+fn bench_rebuild(c: &mut Criterion) {
+    let mut group = c.benchmark_group("recall_index/rebuild");
     for (label, cfg) in [
         ("small-40p", ExperimentConfig::small(2)),
         ("paper-200p", ExperimentConfig::paper(2)),
@@ -38,11 +38,11 @@ fn bench_refresh_mass(c: &mut Criterion) {
             tb.system.workloads(),
         );
         group.bench_with_input(BenchmarkId::from_parameter(label), &tb, |b, tb| {
-            b.iter(|| index.refresh_mass(tb.system.overlay()))
+            b.iter(|| index.rebuild(tb.system.overlay()))
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_refresh_mass);
+criterion_group!(benches, bench_build, bench_rebuild);
 criterion_main!(benches);

@@ -499,7 +499,7 @@ impl System {
     /// masses only — pair with [`System::rebuild_summaries`] when
     /// cluster-directed routing is used afterwards.
     pub fn refresh_mass(&mut self) {
-        self.index.refresh_mass(&self.overlay);
+        self.index.rebuild(&self.overlay);
         self.cache.get_mut().mark_all();
     }
 }

@@ -12,6 +12,14 @@
 //! (property-tested in `tests/`). [`simulate_period_traffic`] is the
 //! same walk reduced to its traffic accounting.
 //!
+//! Both statistics are sums the [`RecallIndex`] already holds exactly,
+//! so the walk visits no cluster member. A query's per-cluster counts
+//! are its mass cells restricted to the clusters it was routed to; a
+//! peer's served credit pairs its own result row with each query's live
+//! demand per requesting cluster. `tests/prop_sharded_flush.rs` pins
+//! both walks to a member-walk reference built on
+//! [`recluster_overlay::route_to_clusters`].
+//!
 //! # Examples
 //!
 //! A peer whose query is answered by another cluster observes exactly
@@ -39,10 +47,7 @@
 
 use std::collections::BTreeMap;
 
-use recluster_overlay::{
-    route_to_clusters, AnnotatedResult, ContentStore, MsgKind, Overlay, RoutePlan, RoutingMode,
-    SimNetwork, SummaryMode,
-};
+use recluster_overlay::{MsgKind, Overlay, RoutePlan, RoutingMode, SimNetwork, SummaryMode};
 use recluster_types::{ClusterId, PeerId, Query, Workload};
 
 use crate::recall::{QueryId, RecallIndex};
@@ -301,37 +306,72 @@ pub fn simulate_period(
     net: &mut SimNetwork,
     mode: RoutingMode,
 ) -> (PeriodObservations, RoutingReport, ForwardHistogram) {
-    let core = run_period_core(system, net, mode, true);
+    let core = run_period_core(system, net, mode);
     let overlay = system.overlay();
     let index = system.index();
-    let mut observations: Vec<Vec<QueryObservation>> = vec![Vec::new(); overlay.n_slots()];
+    let workloads = system.workloads();
+    let n_slots = overlay.n_slots();
+    let mut observations: Vec<Vec<QueryObservation>> = vec![Vec::new(); n_slots];
+    let mut served: Vec<BTreeMap<ClusterId, f64>> = vec![BTreeMap::new(); n_slots];
+    let mut served_total = vec![0.0; n_slots];
 
-    // Fan the shared evaluations out to every live holder, in the exact
-    // (peer id, workload order) the per-requester walk produced.
-    for requester in overlay.peers() {
-        let workload = &system.workloads()[requester.index()];
+    for peer in overlay.peers() {
+        let home = overlay.cluster_of(peer).expect("live peers are assigned");
+        let workload = &workloads[peer.index()];
+        // As a requester: every holder of a query observes its shared
+        // evaluation, in workload order.
         for (query, _count) in workload.iter() {
             let qid = index.qid(query).expect("workload queries are indexed") as usize;
             let eval = core.evals[qid]
                 .as_ref()
                 .expect("a live holder implies the query was evaluated");
-            let own = system.store().result_count(query, requester);
-            let weight = workload.frequency(query);
-            observations[requester.index()].push(QueryObservation {
+            observations[peer.index()].push(QueryObservation {
                 query: query.clone(),
-                weight,
+                weight: workload.frequency(query),
                 per_cluster: eval.per_cluster.clone(),
                 total: eval.total,
-                own,
+                own: system.store().result_count(query, peer),
             });
+        }
+        // As an answerer: the peer records whom it served (Eq. 6
+        // numerator, weighted by query occurrences). Its results reach a
+        // query only when its home cluster was targeted, and its own
+        // nonzero count makes the home cell nonzero, so "targeted" is
+        // "home is in the observed `per_cluster`". Results a peer finds
+        // in its own store are not "sent" and carry no contribution
+        // credit, so its own occurrences leave its home bucket. Every
+        // credit is a product/sum of integers well below 2⁵³, folded in
+        // ascending (qid, bucket) order.
+        for &(qid, count) in index.results_of(peer) {
+            let Some(eval) = &core.evals[qid as usize] else {
+                continue; // no live demand: the period never routes it
+            };
+            if eval
+                .per_cluster
+                .binary_search_by_key(&home, |&(c, _)| c)
+                .is_err()
+            {
+                continue;
+            }
+            for &(cid, bucket) in &eval.demand_buckets {
+                let mut demand = bucket;
+                if cid == home {
+                    demand -= workload.count(&index.queries()[qid as usize]);
+                }
+                if demand > 0 {
+                    let credit = demand as f64 * count as f64;
+                    *served[peer.index()].entry(cid).or_insert(0.0) += credit;
+                    served_total[peer.index()] += credit;
+                }
+            }
         }
     }
 
     (
         PeriodObservations {
             observations,
-            served: core.served,
-            served_total: core.served_total,
+            served,
+            served_total,
             sizes: overlay.sizes(),
             n_peers: overlay.n_peers(),
         },
@@ -348,63 +388,54 @@ pub fn simulate_period(
 /// wants — at a million peers, materializing per-requester observation
 /// records (one per distinct workload query per peer) dominates both
 /// the allocation volume and the peak RSS of a period, and the oracle
-/// repair path never reads them. Nor does it walk any cluster's
-/// members: the ledger and result totals come from the
-/// [`RecallIndex`]'s per-cluster mass cells
-/// (`Σ results`, answering peers), which the `System` mutators keep
-/// exact.
+/// repair path never reads them.
 pub fn simulate_period_traffic(
     system: &System,
     net: &mut SimNetwork,
     mode: RoutingMode,
 ) -> (RoutingReport, ForwardHistogram) {
-    let core = run_period_core(system, net, mode, false);
+    let core = run_period_core(system, net, mode);
     (core.report, core.histogram)
 }
 
 /// One distinct query's shared evaluation — identical for every
-/// holder (content is fixed within the period), fanned out to the
-/// per-peer observations afterwards.
+/// holder (content is fixed within the period): what each holder
+/// observes, and the live demand each answerer serves.
 struct QueryEval {
+    /// Results per answering target cluster, ascending by cluster id.
     per_cluster: Vec<(ClusterId, u64)>,
+    /// Total results of the evaluation.
     total: u64,
+    /// Live demand bucketed by requesting cluster, ascending.
+    demand_buckets: Vec<(ClusterId, u64)>,
 }
 
 /// Everything one distinct query's evaluation produces before any
-/// shared state is touched: the unscaled message ledger, the annotated
-/// results, the demand buckets, and the raw (per-single-occurrence)
-/// report counters. Packets are pure per-query values, so they can be
-/// produced on any thread; folding them into the network/report/served
-/// state happens in one sequential qid-order merge, which makes the
-/// sharded walk byte-identical to the sequential one by construction.
+/// shared state is touched: the shared evaluation, the unscaled message
+/// ledger and the raw (per-single-occurrence) report counters. Packets
+/// are pure per-query values, so they can be produced on any thread;
+/// folding them into the network/report state happens in one
+/// sequential qid-order merge, which makes the sharded walk
+/// byte-identical to the sequential one by construction.
 struct QueryPacket {
+    eval: QueryEval,
     /// Total live demand (occurrences summed over live holders).
     total_demand: u64,
-    /// Live demand bucketed by requesting cluster index, ascending.
-    demand_buckets: Vec<(usize, u64)>,
     /// The single-evaluation message ledger (unscaled).
     ledger: SimNetwork,
-    /// The cid-annotated results of the single evaluation.
-    results: Vec<AnnotatedResult>,
-    /// Per-answering-cluster result counts, ascending by cluster id.
-    per_cluster: Vec<(ClusterId, u64)>,
-    /// Total results of the single evaluation.
-    total: u64,
     /// `QueryForward` messages of the single evaluation.
     forwards: u64,
     /// Results a lossy summary skipped (raw; demand-scaled at merge).
     missed: u64,
 }
 
-/// Reusable per-worker evaluation buffers: a scratch ledger, dense
-/// per-cluster accumulators (result counts, live demand) plus their
-/// touched-slot lists (reset in O(touched), not O(cmax)). The sharded
+/// Reusable per-worker evaluation buffers: a scratch ledger, the routed
+/// target list, and a dense per-cluster demand accumulator plus its
+/// touched-slot list (reset in O(touched), not O(cmax)). The sharded
 /// path builds one per range; the sequential path reuses one for the
 /// whole period.
 struct EvalBufs {
     scratch: SimNetwork,
-    cluster_acc: Vec<u64>,
-    touched: Vec<usize>,
     routed_targets: Vec<ClusterId>,
     demand_acc: Vec<u64>,
     demand_touched: Vec<usize>,
@@ -414,8 +445,6 @@ impl EvalBufs {
     fn new(cmax: usize) -> Self {
         EvalBufs {
             scratch: SimNetwork::new(),
-            cluster_acc: vec![0; cmax],
-            touched: Vec::new(),
             routed_targets: Vec::new(),
             demand_acc: vec![0; cmax],
             demand_touched: Vec::new(),
@@ -430,58 +459,54 @@ impl EvalBufs {
 /// returned to their all-zeros/empty state before returning, so a fresh
 /// `EvalBufs` and a reused one are indistinguishable.
 ///
-/// With `collect` the query is routed through [`route_to_clusters`],
-/// whose per-peer annotated results feed the observations and the
-/// served credit. Without it only counts are needed, and those are
-/// exactly what the [`RecallIndex`] mass cells hold: per target cluster
-/// one `QueryForward` plus one `ResultReturn` per answering member, and
-/// the cell's result sum — the same ledger and totals at O(log) per
-/// target instead of a member walk. `results`, `per_cluster` and
-/// `demand_buckets` then stay empty.
+/// No cluster member is visited: what a member walk would count is
+/// exactly what the [`RecallIndex`] mass cells hold. Per non-empty
+/// target cluster the ledger gets one `QueryForward` plus one
+/// `ResultReturn` per answering member, and the observation gets the
+/// cell's result sum — the query's mass row restricted to its targets,
+/// at O(log) per target.
 #[allow(clippy::too_many_arguments)]
 fn eval_query(
     qid: usize,
     overlay: &Overlay,
-    store: &ContentStore,
     workloads: &[Workload],
     index: &RecallIndex,
     cache: &CostCache,
     non_empty: &[ClusterId],
     plan: Option<&RoutePlan>,
     lossy: bool,
-    collect: bool,
     bufs: &mut EvalBufs,
 ) -> Option<QueryPacket> {
     let query = &index.queries()[qid];
-    // Live demand for this query, bucketed by requesting cluster (the
-    // buckets only when `collect` — served credit is their sole reader).
+    // Live demand for this query, bucketed by requesting cluster.
     // Workload entries always carry ≥ 1 occurrence, so "has a live
     // holder" and "has live demand" coincide; holder order does not
     // matter — the buckets are exact integer sums.
-    let mut total_demand: u64 = 0;
     for &slot in cache.holders_of(qid) {
         let holder = PeerId::from_index(slot as usize);
         let Some(rcid) = overlay.cluster_of(holder) else {
             continue; // departed peers issue no queries
         };
-        let count = workloads[slot as usize].count(query);
-        total_demand += count;
-        if !collect {
-            continue;
-        }
         if bufs.demand_acc[rcid.index()] == 0 {
             bufs.demand_touched.push(rcid.index());
         }
-        bufs.demand_acc[rcid.index()] += count;
-    }
-    if total_demand == 0 {
-        for &ci in &bufs.demand_touched {
-            bufs.demand_acc[ci] = 0;
-        }
-        bufs.demand_touched.clear();
-        return None;
+        bufs.demand_acc[rcid.index()] += workloads[slot as usize].count(query);
     }
     bufs.demand_touched.sort_unstable();
+    let demand_buckets: Vec<(ClusterId, u64)> = bufs
+        .demand_touched
+        .drain(..)
+        .map(|ci| {
+            (
+                ClusterId::from_index(ci),
+                std::mem::take(&mut bufs.demand_acc[ci]),
+            )
+        })
+        .collect();
+    let total_demand: u64 = demand_buckets.iter().map(|&(_, n)| n).sum();
+    if total_demand == 0 {
+        return None;
+    }
 
     // Evaluate once; the caller charges the network for every
     // occurrence of every live holder (the ledger totals are linear, so
@@ -505,91 +530,51 @@ fn eval_query(
         }
     }
 
-    let mut results = Vec::new();
     let mut per_cluster = Vec::new();
-    let mut total = 0u64;
-    if collect {
-        results = route_to_clusters(overlay, store, query, targets, &mut bufs.scratch);
-        for r in &results {
-            let slot = r.cluster.index();
-            if bufs.cluster_acc[slot] == 0 {
-                bufs.touched.push(slot);
-            }
-            bufs.cluster_acc[slot] += r.count;
-            total += r.count;
+    for &cid in targets {
+        // A plan may name a cluster that is empty now; like a member
+        // walk, it is skipped without traffic.
+        if overlay.cluster(cid).is_empty() {
+            continue;
         }
-        bufs.touched.sort_unstable();
-        per_cluster = bufs
-            .touched
-            .iter()
-            .map(|&slot| (ClusterId::from_index(slot), bufs.cluster_acc[slot]))
-            .collect();
-        for &slot in &bufs.touched {
-            bufs.cluster_acc[slot] = 0;
-        }
-        bufs.touched.clear();
-    } else {
-        for &cid in targets {
-            // A plan may name a cluster that is empty now; like
-            // `route_to_clusters`, it is skipped without traffic.
-            if overlay.cluster(cid).is_empty() {
-                continue;
-            }
-            bufs.scratch
-                .send(MsgKind::QueryForward, 16 + 4 * query.len() as u64);
-            let (results, answerers) = index.cluster_answers(qid as QueryId, cid);
-            bufs.scratch
-                .send_many(MsgKind::ResultReturn, 12, u64::from(answerers));
-            total += results;
+        bufs.scratch
+            .send(MsgKind::QueryForward, 16 + 4 * query.len() as u64);
+        let (results, answerers) = index.cluster_answers(qid as QueryId, cid);
+        bufs.scratch
+            .send_many(MsgKind::ResultReturn, 12, u64::from(answerers));
+        if results > 0 {
+            per_cluster.push((cid, results));
         }
     }
-    let forwards = bufs.scratch.messages(MsgKind::QueryForward);
-    let demand_buckets: Vec<(usize, u64)> = bufs
-        .demand_touched
-        .iter()
-        .map(|&ci| (ci, bufs.demand_acc[ci]))
-        .collect();
-    for &ci in &bufs.demand_touched {
-        bufs.demand_acc[ci] = 0;
-    }
-    bufs.demand_touched.clear();
+    let total = per_cluster.iter().map(|&(_, n)| n).sum();
 
     Some(QueryPacket {
+        eval: QueryEval {
+            per_cluster,
+            total,
+            demand_buckets,
+        },
         total_demand,
-        demand_buckets,
+        forwards: bufs.scratch.messages(MsgKind::QueryForward),
         ledger: std::mem::replace(&mut bufs.scratch, SimNetwork::new()),
-        results,
-        per_cluster,
-        total,
-        forwards,
         missed,
     })
 }
 
 /// The shared period walk behind both public variants: evaluate every
 /// distinct query (sharded across the rayon shim when the system is
-/// large), then fold the packets into the network, report, histogram
-/// and — when `collect` — the served-credit state and per-query evals,
-/// in one sequential qid-order merge.
+/// large), then fold the packets into the network, report and
+/// histogram in one sequential qid-order merge, keeping each query's
+/// evaluation (`None`: no live demand) for the observing variant.
 struct PeriodCore {
     evals: Vec<Option<QueryEval>>,
-    served: Vec<BTreeMap<ClusterId, f64>>,
-    served_total: Vec<f64>,
     report: RoutingReport,
     histogram: ForwardHistogram,
 }
 
-fn run_period_core(
-    system: &System,
-    net: &mut SimNetwork,
-    mode: RoutingMode,
-    collect: bool,
-) -> PeriodCore {
+fn run_period_core(system: &System, net: &mut SimNetwork, mode: RoutingMode) -> PeriodCore {
     let overlay = system.overlay();
     let index = system.index();
-    let n_slots = overlay.n_slots();
-    let cmax = overlay.cmax();
-    let store = system.store();
     let workloads = system.workloads();
     // The flushed cost cache supplies the query → holder lists: the
     // period walks each *distinct* query once instead of once per
@@ -612,32 +597,28 @@ fn run_period_core(
     // Each distinct query's evaluation reads only period-constant state,
     // so the walk shards into contiguous qid ranges with per-range
     // buffers. The threshold keys on the *slot* count, not the query
-    // count: per-query work scales with membership — the holder demand
-    // walk in both variants, plus the member walk of `route_to_clusters`
-    // when collecting (the traffic-only variant reads the index's mass
-    // cells instead) — so a small distinct-query set over a huge overlay
-    // is exactly the case worth sharding.
+    // count: per-query work scales with membership through the holder
+    // demand walk, so a small distinct-query set over a huge overlay is
+    // exactly the case worth sharding.
     let eval_range = |range: std::ops::Range<usize>| {
-        let mut bufs = EvalBufs::new(cmax);
+        let mut bufs = EvalBufs::new(overlay.cmax());
         range
             .map(|qid| {
                 eval_query(
                     qid,
                     overlay,
-                    store,
                     workloads,
                     index,
                     cache,
                     &non_empty,
                     plan.as_ref(),
                     lossy,
-                    collect,
                     &mut bufs,
                 )
             })
             .collect::<Vec<_>>()
     };
-    let packets: Vec<Option<QueryPacket>> = if crate::shard::should_shard(n_slots) {
+    let packets: Vec<Option<QueryPacket>> = if crate::shard::should_shard(overlay.n_slots()) {
         crate::shard::map_ranges(n_queries, eval_range)
             .into_iter()
             .flatten()
@@ -655,63 +636,23 @@ fn run_period_core(
         missed_results: 0,
     };
     let mut histogram = ForwardHistogram::new();
-    let mut evals: Vec<Option<QueryEval>> = Vec::with_capacity(if collect { n_queries } else { 0 });
-    let mut served: Vec<BTreeMap<ClusterId, f64>> =
-        vec![BTreeMap::new(); if collect { n_slots } else { 0 }];
-    let mut served_total = vec![0.0; if collect { n_slots } else { 0 }];
-
-    for (qid, packet) in packets.into_iter().enumerate() {
-        let Some(p) = packet else {
-            if collect {
-                evals.push(None); // no live demand: the period never routes it
-            }
-            continue;
-        };
-        net.merge_scaled(&p.ledger, p.total_demand);
-        report.query_events += p.total_demand;
-        report.flood_forwards += non_empty.len() as u64 * p.total_demand;
-        report.forwards += p.forwards * p.total_demand;
-        histogram.record(p.forwards as usize, p.total_demand);
-        report.missed_results += p.missed * p.total_demand;
-        report.returned_results += p.total * p.total_demand;
-        if !collect {
-            continue;
-        }
-        let query = &index.queries()[qid];
-        for r in &p.results {
-            // The answering peer records whom it served (Eq. 6
-            // numerator, weighted by query occurrences). Results a peer
-            // finds in its own store are not "sent" and carry no
-            // contribution credit, so the peer's own occurrences leave
-            // its home-cluster bucket. Every credit is a product/sum of
-            // integers well below 2⁵³, and the (result, bucket) fold
-            // order matches the sequential walk exactly, so this
-            // accumulation is bit-identical to crediting requester by
-            // requester.
-            for &(ci, bucket) in &p.demand_buckets {
-                let mut demand = bucket;
-                if overlay.cluster_of(r.peer) == Some(ClusterId::from_index(ci)) {
-                    demand -= workloads[r.peer.index()].count(query);
-                }
-                if demand > 0 {
-                    let credit = demand as f64 * r.count as f64;
-                    *served[r.peer.index()]
-                        .entry(ClusterId::from_index(ci))
-                        .or_insert(0.0) += credit;
-                    served_total[r.peer.index()] += credit;
-                }
-            }
-        }
-        evals.push(Some(QueryEval {
-            per_cluster: p.per_cluster,
-            total: p.total,
-        }));
-    }
+    let evals = packets
+        .into_iter()
+        .map(|packet| {
+            let p = packet?;
+            net.merge_scaled(&p.ledger, p.total_demand);
+            report.query_events += p.total_demand;
+            report.flood_forwards += non_empty.len() as u64 * p.total_demand;
+            report.forwards += p.forwards * p.total_demand;
+            histogram.record(p.forwards as usize, p.total_demand);
+            report.missed_results += p.missed * p.total_demand;
+            report.returned_results += p.eval.total * p.total_demand;
+            Some(p.eval)
+        })
+        .collect();
 
     PeriodCore {
         evals,
-        served,
-        served_total,
         report,
         histogram,
     }
@@ -1338,7 +1279,7 @@ mod tests {
         // from the report instead of re-deriving here.
         let sys = fixture();
         let mut net = SimNetwork::new();
-        let (_, report, _) =
+        let (_, report, hist) =
             simulate_period(&sys, &mut net, RoutingMode::Routed(SummaryMode::Exact));
         // kw(1): clusters c0 (p1's docs) and c2 (p2's doc) hold Sym(1);
         // ×2 occurrences → 4. kw(2): only c0 (p0's own doc) → 1.
@@ -1346,6 +1287,10 @@ mod tests {
         // Flood: 2 non-empty clusters × 3 occurrences.
         assert_eq!(report.flood_forwards, 6);
         assert_eq!(report.query_events, 3);
+        // The histogram observes exactly the forwards charged: its
+        // occurrence total and mean must agree with the report.
+        assert_eq!(hist.total_occurrences(), report.query_events);
+        assert!((hist.mean() - report.forwards_per_query()).abs() < 1e-12);
     }
 
     #[test]
@@ -1456,8 +1401,7 @@ mod tests {
     fn traffic_variant_matches_full_bit_for_bit() {
         // The traffic-only walk must charge the exact same ledger, kind
         // by kind, and produce the exact same report/histogram as the
-        // full one — it reads counts from the index where the full walk
-        // visits members, and skips the observation/served state.
+        // full one — it skips only the observation/served state.
         let sys = fixture();
         for mode in [
             RoutingMode::Flood,
@@ -1514,22 +1458,5 @@ mod tests {
             assert_eq!(net_seq.total_bytes(), net_par.total_bytes());
         }
         crate::shard::set_shard_min_override(None);
-    }
-
-    #[test]
-    fn full_variant_matches_plain_and_reports_fanout() {
-        let sys = fixture();
-        let mode = RoutingMode::Routed(SummaryMode::Exact);
-        let mut net_a = SimNetwork::new();
-        let (obs_a, rep_a, _) = simulate_period(&sys, &mut net_a, mode);
-        let mut net_b = SimNetwork::new();
-        let (obs_b, rep_b, hist) = simulate_period(&sys, &mut net_b, mode);
-        assert_eq!(obs_a, obs_b);
-        assert_eq!(rep_a, rep_b);
-        assert_eq!(net_a.total_messages(), net_b.total_messages());
-        // The histogram observes exactly the forwards charged: its
-        // occurrence total and mean must agree with the report.
-        assert_eq!(hist.total_occurrences(), rep_b.query_events);
-        assert!((hist.mean() - rep_b.forwards_per_query()).abs() < 1e-12);
     }
 }

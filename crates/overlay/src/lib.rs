@@ -19,9 +19,10 @@
 //! * [`routing`] — query evaluation over the overlay with results
 //!   annotated by the answering cluster's `cid` (§3.1: "the results of
 //!   each query are annotated with the corresponding cids"), flooding
-//!   and cluster-directed variants, the *cluster recall* measure, and
-//!   the cluster-directed layer: delta-maintained per-cluster content
-//!   summaries and the route plans built from them.
+//!   and cluster-directed member walks (the reference the indexed
+//!   period walks are tested against), and the cluster-directed layer:
+//!   delta-maintained per-cluster content summaries and the route plans
+//!   built from them.
 //! * [`churn`] — peer join/leave events that keep the `Cmax = |P|`
 //!   invariant.
 
@@ -40,7 +41,7 @@ pub use content::ContentStore;
 pub use network::{MsgKind, SimNetwork};
 pub use overlay::{Cluster, Overlay};
 pub use routing::{
-    cluster_recall, flood_query, route_to_clusters, AnnotatedResult, ClusterSummaries, FlushStats,
-    RoutePlan, RoutingMode, SummaryBatch, SummaryMode,
+    flood_query, route_to_clusters, AnnotatedResult, ClusterSummaries, FlushStats, RoutePlan,
+    RoutingMode, SummaryBatch, SummaryMode,
 };
 pub use theta::Theta;

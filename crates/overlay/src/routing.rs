@@ -81,6 +81,10 @@ pub struct AnnotatedResult {
 /// record per answering peer with a nonzero count; network traffic is
 /// charged to `net` (one forward per non-empty cluster, one return per
 /// answering peer).
+///
+/// Together with [`route_to_clusters`] this is the member-walk
+/// reference: `recluster-core`'s period walks read the same counts from
+/// their recall index's mass cells, and tests compare them against it.
 pub fn flood_query(
     overlay: &Overlay,
     store: &ContentStore,
@@ -94,7 +98,9 @@ pub fn flood_query(
     route_to_clusters(overlay, store, query, &clusters, net)
 }
 
-/// Evaluates `query` against the given clusters only.
+/// Evaluates `query` against the given clusters only, walking every
+/// member of each non-empty one — the member-walk reference (see
+/// [`flood_query`]).
 pub fn route_to_clusters(
     overlay: &Overlay,
     store: &ContentStore,
@@ -631,26 +637,6 @@ impl RoutePlan {
     }
 }
 
-/// The *cluster recall* measure of §3.1: "the fraction of results
-/// returned to peer p for query q by a cluster ci to the total number of
-/// results returned for the query". Returns `(cluster, fraction)` pairs
-/// for clusters with nonzero contribution; empty when the query had no
-/// results at all.
-pub fn cluster_recall(results: &[AnnotatedResult]) -> Vec<(ClusterId, f64)> {
-    let total: u64 = results.iter().map(|r| r.count).sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut by_cluster: std::collections::BTreeMap<ClusterId, u64> = Default::default();
-    for r in results {
-        *by_cluster.entry(r.cluster).or_insert(0) += r.count;
-    }
-    by_cluster
-        .into_iter()
-        .map(|(c, n)| (c, n as f64 / total as f64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,28 +714,6 @@ mod tests {
         );
         assert!(results.is_empty());
         assert_eq!(net.total_messages(), 0);
-    }
-
-    #[test]
-    fn cluster_recall_fractions_sum_to_one() {
-        let (ov, store) = fixture();
-        let mut net = SimNetwork::new();
-        let results = flood_query(&ov, &store, &Query::keyword(Sym(2)), &mut net);
-        let recall = cluster_recall(&results);
-        let sum: f64 = recall.iter().map(|(_, f)| f).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        // Sym(2): one doc at p0 (c0), one at p2 (c2) → 0.5 each.
-        assert_eq!(recall.len(), 2);
-        assert!((recall[0].1 - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cluster_recall_of_unanswerable_query_is_empty() {
-        let (ov, store) = fixture();
-        let mut net = SimNetwork::new();
-        let results = flood_query(&ov, &store, &Query::keyword(Sym(99)), &mut net);
-        assert!(results.is_empty());
-        assert!(cluster_recall(&results).is_empty());
     }
 
     #[test]
